@@ -13,6 +13,20 @@ cd "$(dirname "$0")"
 
 quick=${1:-}
 
+# Wait for a server that was sent POST /shutdown. Graceful shutdown
+# closes idle connections at once, so fail if it is still running 5 s
+# later; otherwise return its exit status.
+wait_exit() {
+    local pid=$1
+    for _ in $(seq 1 50); do
+        kill -0 "$pid" 2>/dev/null || { wait "$pid"; return; }
+        sleep 0.1
+    done
+    echo "process $pid still running 5 s after POST /shutdown"
+    kill -9 "$pid"
+    return 1
+}
+
 if [[ "$quick" != "quick" ]]; then
     echo "==> cargo fmt --check"
     cargo fmt --check
@@ -88,10 +102,12 @@ if [[ "$quick" != "quick" ]]; then
         | grep -q '"cached":true'
     curl -sf "http://$addr/metrics" | grep -q '"hits":2'
     curl -sf "http://$addr/metrics" | grep -q '"patched":1'
-    curl -sf "http://$addr/metrics?format=prometheus" \
-        | grep -q '^# TYPE skyline_stage_us histogram'
+    # Save the body first: `grep -q` closing the pipe early makes curl
+    # fail with exit 23 under pipefail.
+    curl -sf "http://$addr/metrics?format=prometheus" > "$tmp/serve-prom.txt"
+    grep -q '^# TYPE skyline_stage_us histogram' "$tmp/serve-prom.txt"
     curl -sf -X POST "http://$addr/shutdown" | grep -q 'shutting down'
-    wait "$serve_pid"   # clean exit after graceful shutdown
+    wait_exit "$serve_pid"   # clean exit after graceful shutdown
     grep -q '"type":"request"' "$tmp/serve.jsonl"
     grep -q '"type":"cache_hit"' "$tmp/serve.jsonl"
     grep -q '"type":"delta_applied"' "$tmp/serve.jsonl"
@@ -149,15 +165,16 @@ if [[ "$quick" != "quick" ]]; then
     grep -q '^# TYPE skyline_requests_total counter' "$tmp/prom.txt"
     grep -q '^# TYPE skyline_stage_us histogram' "$tmp/prom.txt"
     grep -q 'skyline_shard_rpc_requests{shard="0"}' "$tmp/prom.txt"
+    grep -q '^# TYPE skyline_shard_rpc_requests counter' "$tmp/prom.txt"
 
     kill -9 "$shard1_pid"    # shard death degrades, never errors
     wait "$shard1_pid" 2>/dev/null || true
     curl -sf "http://$coord/skyline?dataset=ci&algo=SDI-Subset" \
         | grep -q '"partial":true,"missing_shards":\[1\]'
     curl -sf -X POST "http://$coord/shutdown" | grep -q 'shutting down'
-    wait "$cluster_pid"
+    wait_exit "$cluster_pid"
     curl -sf -X POST "http://$shard0/shutdown" >/dev/null
-    wait "$shard0_pid"
+    wait_exit "$shard0_pid"
     grep -q '"type":"shard_rpc"' "$tmp/cluster.jsonl"
     grep -q '"type":"cluster_merge"' "$tmp/cluster.jsonl"
     ./target/release/skyline report "$tmp/cluster.jsonl" --stages \
@@ -203,7 +220,7 @@ if [[ "$quick" != "quick" ]]; then
         echo "recovery mismatch:"; echo "  before: $before"; echo "  after:  $after"; exit 1; }
     curl -sf "http://$addr/metrics" | grep -q '"recovery_replayed_records":20[12]'
     curl -sf -X POST "http://$addr/shutdown" | grep -q 'shutting down'
-    wait "$serve_pid"
+    wait_exit "$serve_pid"
 
     echo "==> replication smoke: follower converges, survives a primary kill -9"
     ./target/release/skyline serve --port 0 --threads 2 \
@@ -290,9 +307,9 @@ if [[ "$quick" != "quick" ]]; then
     converge                 # reconnect-replay from the follower's cursor
     curl -sf "http://$faddr/metrics" | grep -q '"resyncs_total":1'   # replay, not resync
     curl -sf -X POST "http://$paddr/shutdown" | grep -q 'shutting down'
-    wait "$primary_pid"
+    wait_exit "$primary_pid"
     curl -sf -X POST "http://$faddr/shutdown" | grep -q 'shutting down'
-    wait "$follower_pid"
+    wait_exit "$follower_pid"
 
     echo "==> replication bench artefact (quick)"
     ./target/release/repro bench-json --replicated --requests 2 \
@@ -364,12 +381,15 @@ if [[ "$quick" != "quick" ]]; then
     grep -q 'skyline_shard_epoch{shard="0"} 1' "$tmp/fo-prom.txt"
     grep -q '"op":"promote"' "$tmp/fo-manifest.jsonl"
     curl -sf -X POST "http://$coord/shutdown" | grep -q 'shutting down'
-    wait "$cluster_pid"
+    wait_exit "$cluster_pid"
     curl -sf -X POST "http://$faddr/shutdown" | grep -q 'shutting down'
-    wait "$follower_pid"
+    wait_exit "$follower_pid"
 
     echo "==> opt-in: chaos fault-injection harness"
     cargo test -q -p skyline-integration-tests --features chaos --test chaos
+
+    echo "==> benchmark self-tests: every perfbench workload against this checkout"
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 fi
 
 echo "CI OK"

@@ -14,7 +14,7 @@
 //!                  [--follow-wait-ms MS] [--feed-retain N] [--compact-bytes N]
 //! skyline cluster  (--shards ADDR,ADDR,... | --spawn-local N) [--port P] [--bind ADDR]
 //!                  [--threads T] [--manifest PATH] [--trace out.jsonl]
-//!                  [--slow-ms MS] [--slow-log out.jsonl] [--shard-reuse]
+//!                  [--slow-ms MS] [--slow-log out.jsonl]
 //!                  [--replicas S=ADDR,...] [--replica-staleness V]
 //!                  [--failover] [--probe-ms MS] [--suspect-misses N]
 //! skyline algorithms
@@ -90,7 +90,7 @@ const USAGE: &str = "usage:
                    [--follow-wait-ms MS] [--feed-retain N] [--compact-bytes N]
   skyline cluster  (--shards ADDR,ADDR,... | --spawn-local N) [--port P] [--bind ADDR]
                    [--threads T] [--manifest PATH] [--trace out.jsonl]
-                   [--slow-ms MS] [--slow-log out.jsonl] [--shard-reuse]
+                   [--slow-ms MS] [--slow-log out.jsonl]
                    [--replicas S=ADDR,...] [--replica-staleness V]
                    [--failover] [--probe-ms MS] [--suspect-misses N]
   skyline algorithms
@@ -645,7 +645,6 @@ fn cluster(args: &[String]) -> Result<(), String> {
         manifest,
         slow_ms,
         slow_log,
-        shard_reuse: args.iter().any(|a| a == "--shard-reuse"),
         replicas: if have_replicas { replicas } else { Vec::new() },
         replica_staleness,
         failover,

@@ -22,16 +22,6 @@
 //! assignment, and cluster answers match a single-node server fed the
 //! same rows id-for-id.
 //!
-//! With [`ClusterConfig::shard_reuse`] on, the coordinator additionally
-//! keeps each shard's last parsed answer per exact query, tagged with
-//! that shard's per-dataset mutation version
-//! ([`shard_map::DatasetState::shard_versions`]). A scatter leg to a
-//! shard whose version has not moved is skipped outright and its cached
-//! answer fed straight into the merge; the response lists such shards
-//! in `reused_shards`. This is the cluster-side face of the incremental
-//! maintenance engine: a mutation re-queries only the shards it
-//! touched.
-//!
 //! ## Degraded operation
 //!
 //! Shard calls go through the retrying client with a total-deadline
@@ -45,18 +35,20 @@
 //! Telemetry: every shard call emits a `shard_rpc` trace event and
 //! feeds per-shard latency/error counters in `/metrics`; every merge
 //! emits `cluster_merge`. `skyline report` renders both.
+//!
+//! The HTTP front end (accept thread, keep-alive connections, running
+//! handle, trace sinks) is the shard server's own
+//! [`skyline_serve::service`].
 
 pub mod manifest;
 pub mod shard_map;
 
 use std::collections::HashMap;
-use std::fs::File;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use skyline_core::cancel::{CancelToken, Cancelled};
@@ -64,15 +56,15 @@ use skyline_core::metrics::Metrics;
 use skyline_core::shard_merge::{merge_shard_skylines, EliteRef, MergeEntry};
 use skyline_core::subspace::Subspace;
 use skyline_data::{Distribution, SyntheticSpec};
-use skyline_obs::json::{ObjectWriter, Value};
+use skyline_obs::json::{self, ObjectWriter, Value};
 use skyline_obs::trace::{self, StageTimer, TraceContext};
-use skyline_obs::{Event, JsonlRecorder, NoopRecorder, Recorder};
+use skyline_obs::{Event, NoopRecorder};
 use skyline_serve::client::{
     request_with_retry_timed, request_with_timeout, ClientResponse, RequestTiming, RetryPolicy,
 };
-use skyline_serve::http::{self, HttpError, Request, Response};
-use skyline_serve::metrics::ServerMetrics;
-use skyline_serve::pool::ThreadPool;
+use skyline_serve::http::{self, Request, Response};
+use skyline_serve::metrics::Extra;
+use skyline_serve::service::{self, parse_body, parse_rows, FrontConfig, FrontEnd, Service};
 
 use manifest::Manifest;
 use shard_map::{shard_of, DatasetState};
@@ -109,14 +101,6 @@ pub struct ClusterConfig {
     /// Dedicated slow-query log path. `None` routes slow records to the
     /// `trace` sink instead.
     pub slow_log: Option<PathBuf>,
-    /// Reuse an unchanged shard's previous parsed `/skyline` answer
-    /// instead of re-issuing the RPC. Sound because the per-dataset
-    /// [`shard_map::DatasetState::shard_versions`] counter moves exactly
-    /// when a mutation touches the shard. Off by default: reuse also
-    /// masks a *dead* shard whose answer is still current, which is the
-    /// wrong default for health-sensitive deployments that watch
-    /// `"partial"` to detect outages.
-    pub shard_reuse: bool,
     /// Read replicas per shard, in shard-id order (`skyline serve
     /// --follow` followers of that shard). When a shard has replicas,
     /// `/skyline` scatter legs go to them round-robin; writes always
@@ -163,7 +147,6 @@ impl ClusterConfig {
             },
             slow_ms: 0,
             slow_log: None,
-            shard_reuse: false,
             replicas: Vec::new(),
             replica_staleness: 0,
             failover: false,
@@ -209,7 +192,7 @@ struct Topology {
 
 /// State shared by every coordinator worker.
 struct Shared {
-    addr: SocketAddr,
+    front: FrontEnd,
     /// Number of shards — fixed for the cluster's lifetime even as the
     /// topology's addresses move around.
     shard_count: usize,
@@ -218,24 +201,7 @@ struct Shared {
     datasets: Mutex<HashMap<String, DatasetState>>,
     manifest: Option<Mutex<Manifest>>,
     replayed: u64,
-    metrics: ServerMetrics,
-    recorder: Option<Mutex<JsonlRecorder<File>>>,
-    shutdown: AtomicBool,
-    started: Instant,
-    threads: usize,
     retry: RetryPolicy,
-    /// Slow-query threshold in milliseconds; `0` = disabled.
-    slow_ms: u64,
-    /// Dedicated slow-query sink (falls back to `recorder`).
-    slow_log: Option<Mutex<JsonlRecorder<File>>>,
-    /// Serve unchanged shards from `reuse` instead of re-querying them.
-    shard_reuse: bool,
-    /// Per (dataset, query-signature): each shard's last parsed answer
-    /// tagged with the shard's mutation version at the time. Only
-    /// consulted when `shard_reuse` is on; entries whose version no
-    /// longer matches are simply skipped (and overwritten by the next
-    /// live answer).
-    reuse: Mutex<HashMap<(String, String), Vec<ReusableAnswer>>>,
     /// Largest acceptable self-reported replica lag, versions.
     replica_staleness: u64,
     /// Round-robin cursor over each shard's replica list (one shared
@@ -256,10 +222,15 @@ struct Shared {
     promotions_total: AtomicU64,
 }
 
-/// One shard's cached answer: `None` until the shard has answered this
-/// query shape, otherwise the answer tagged with the shard's mutation
-/// version at the time it was produced.
-type ReusableAnswer = Option<(u64, Arc<ShardSkyline>)>;
+impl Service for Shared {
+    fn front(&self) -> &FrontEnd {
+        &self.front
+    }
+
+    fn route(&self, req: &Request) -> (Response, &'static str) {
+        route(self, req)
+    }
+}
 
 impl Shared {
     /// Read-locked topology snapshot accessors. Each takes the lock
@@ -286,78 +257,11 @@ impl Shared {
             .replicas[shard]
             .clone()
     }
-
-    fn emit(&self, event: Event) {
-        if let Some(rec) = &self.recorder {
-            let mut rec = rec.lock().unwrap_or_else(|e| e.into_inner());
-            rec.event(event);
-            // Request-level events are rare enough to flush eagerly, so
-            // a live trace file can be tailed without a shutdown.
-            rec.flush();
-        }
-    }
-
-    /// Write a slow-query record to the dedicated slow log, or to the
-    /// trace sink when none is configured.
-    fn emit_slow(&self, event: Event) {
-        if let Some(log) = &self.slow_log {
-            let mut log = log.lock().unwrap_or_else(|e| e.into_inner());
-            log.event(event);
-            log.flush();
-        } else {
-            self.emit(event);
-        }
-    }
 }
 
-/// The validated trace id a request carries in `X-Skyline-Trace`, or
-/// `""` when absent or malformed (never propagate junk into traces).
-fn inherited_trace(req: &Request) -> String {
-    req.header(trace::TRACE_HEADER)
-        .filter(|t| trace::is_valid_id(t))
-        .unwrap_or("")
-        .to_string()
-}
-
-/// A running coordinator. Dropping the handle shuts it down.
-pub struct ClusterHandle {
-    shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    /// Failure detector; `None` unless `--failover` is on.
-    prober: Option<JoinHandle<()>>,
-}
-
-impl ClusterHandle {
-    /// The address the coordinator is listening on.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
-    }
-
-    /// Block until the coordinator stops (via `POST /shutdown` or
-    /// [`ClusterHandle::shutdown`] from another thread).
-    pub fn wait(&mut self) {
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.prober.take() {
-            let _ = t.join();
-        }
-    }
-
-    /// Stop accepting connections, drain in-flight requests, and join
-    /// every thread. Idempotent.
-    pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        let _ = TcpStream::connect(self.shared.addr);
-        self.wait();
-    }
-}
-
-impl Drop for ClusterHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
+/// A running coordinator: the shared front end's handle. Dropping it
+/// shuts the coordinator down.
+pub type ClusterHandle = service::Running;
 
 /// The coordinator: binds, spawns the accept loop, returns a handle.
 pub struct Cluster;
@@ -375,16 +279,17 @@ impl Cluster {
                 config.shards.len()
             )));
         }
-        let listener = TcpListener::bind(&config.bind)?;
-        let addr = listener.local_addr()?;
-        let recorder = match &config.trace {
-            Some(path) => Some(Mutex::new(JsonlRecorder::create(path)?)),
-            None => None,
-        };
-        let slow_log = match &config.slow_log {
-            Some(path) => Some(Mutex::new(JsonlRecorder::create(path)?)),
-            None => None,
-        };
+        let (listener, front) = FrontEnd::bind(FrontConfig {
+            bind: config.bind.clone(),
+            name: "cluster",
+            threads: config.threads,
+            request_timeout: config.request_timeout,
+            max_body: config.max_body,
+            queue_limit: 0,
+            trace: config.trace.clone(),
+            slow_ms: config.slow_ms,
+            slow_log: config.slow_log.clone(),
+        })?;
         let shard_count = config.shards.len();
         let (manifest, datasets, replayed, promote_epochs, promote_primaries) =
             match &config.manifest {
@@ -427,7 +332,7 @@ impl Cluster {
             }
         }
         let shared = Arc::new(Shared {
-            addr,
+            front,
             shard_count,
             shard_stats: (0..shard_count).map(|_| ShardStats::default()).collect(),
             topology: std::sync::RwLock::new(Topology {
@@ -439,16 +344,7 @@ impl Cluster {
             datasets: Mutex::new(datasets),
             manifest,
             replayed,
-            metrics: ServerMetrics::new(),
-            recorder,
-            shutdown: AtomicBool::new(false),
-            started: Instant::now(),
-            threads: config.threads.max(1),
             retry: config.retry,
-            slow_ms: config.slow_ms,
-            slow_log,
-            shard_reuse: config.shard_reuse,
-            reuse: Mutex::new(HashMap::new()),
             replica_staleness: config.replica_staleness,
             replica_rr: AtomicUsize::new(0),
             replica_requests: AtomicU64::new(0),
@@ -458,107 +354,12 @@ impl Cluster {
             suspect_misses: config.suspect_misses.max(1),
             promotions_total: AtomicU64::new(0),
         });
-        let accept_shared = Arc::clone(&shared);
-        let timeout = config.request_timeout;
-        let max_body = config.max_body;
-        let threads = config.threads.max(1);
-        let accept = std::thread::Builder::new()
-            .name("cluster-accept".to_string())
-            .spawn(move || {
-                // The pool lives in the accept thread: dropping it on
-                // loop exit drains queued connections and joins workers,
-                // so shutdown never truncates a response.
-                let pool = ThreadPool::new(threads, "cluster-worker");
-                for stream in listener.incoming() {
-                    if accept_shared.shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let conn_shared = Arc::clone(&accept_shared);
-                    if pool
-                        .execute(move || handle_connection(stream, conn_shared, timeout, max_body))
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-            })?;
-        let prober = if shared.failover {
+        let mut running = service::start(listener, shared.clone())?;
+        if shared.failover {
             let probe_shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("cluster-prober".to_string())
-                    .spawn(move || run_prober(probe_shared))?,
-            )
-        } else {
-            None
-        };
-        Ok(ClusterHandle {
-            shared,
-            accept: Some(accept),
-            prober,
-        })
-    }
-}
-
-fn handle_connection(stream: TcpStream, shared: Arc<Shared>, timeout: Duration, max_body: usize) {
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    let _ = stream.set_nodelay(true);
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        match Request::read_from(&mut reader, max_body) {
-            Ok(Some(req)) => {
-                let start = Instant::now();
-                // Same panic isolation as the shard server: a handler
-                // bug costs one 500, not the connection.
-                let (response, endpoint) =
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        route(&shared, &req)
-                    })) {
-                        Ok(pair) => pair,
-                        Err(_) => {
-                            shared.metrics.inc_panics();
-                            shared.emit(Event::HandlerPanic {
-                                endpoint: req.path.clone(),
-                            });
-                            (
-                                Response::error(500, "internal error: handler panicked"),
-                                "(panic)",
-                            )
-                        }
-                    };
-                let elapsed_us = start.elapsed().as_micros() as u64;
-                shared
-                    .metrics
-                    .record(&req.method, endpoint, response.status, elapsed_us);
-                shared.emit(Event::Request {
-                    method: req.method.clone(),
-                    endpoint: endpoint.to_string(),
-                    status: response.status as u64,
-                    elapsed_us,
-                    trace: inherited_trace(&req),
-                });
-                let close = req.wants_close() || shared.shutdown.load(Ordering::Acquire);
-                if response.write_to(&mut writer).is_err() || close {
-                    return;
-                }
-            }
-            Ok(None) => return,
-            Err(HttpError::Io(_)) => return,
-            Err(e) => {
-                let status = match e {
-                    HttpError::TooLarge { .. } => 413,
-                    _ => 400,
-                };
-                shared.metrics.record("?", "(malformed)", status, 0);
-                let _ = Response::error(status, &e.to_string()).write_to(&mut writer);
-                return;
-            }
+            running.spawn("cluster-prober", move || run_prober(probe_shared))?;
         }
+        Ok(running)
     }
 }
 
@@ -584,7 +385,7 @@ fn route(shared: &Shared, req: &Request) -> (Response, &'static str) {
         ("GET", "/skyline") => (handle_skyline(shared, req), "/skyline"),
         ("GET", "/datasets") => (handle_list(shared), "/datasets"),
         ("POST", "/datasets") => (handle_create(shared, req), "/datasets"),
-        ("POST", "/shutdown") => (handle_shutdown(shared), "/shutdown"),
+        ("POST", "/shutdown") => (shared.front.handle_shutdown(), "/shutdown"),
         (_, "/healthz" | "/metrics" | "/skyline" | "/datasets" | "/shutdown") => (
             Response::error(405, "method not allowed on this endpoint"),
             "(bad-method)",
@@ -699,7 +500,7 @@ fn shard_rpc_at(
     if status == 0 || status >= 400 {
         stats.errors.fetch_add(1, Ordering::Relaxed);
     }
-    shared.emit(Event::ShardRpc {
+    shared.front.emit(Event::ShardRpc {
         shard: shard as u64,
         endpoint: endpoint.to_string(),
         status,
@@ -775,14 +576,6 @@ fn scatter<T: Send>(shard_count: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T>
     })
 }
 
-/// Sleep `total` in short slices so shutdown is honoured promptly.
-fn sleep_checking_shutdown(shared: &Shared, total: Duration) {
-    let deadline = Instant::now() + total;
-    while Instant::now() < deadline && !shared.shutdown.load(Ordering::Acquire) {
-        std::thread::sleep(Duration::from_millis(20).min(total));
-    }
-}
-
 /// One `/healthz` probe. Returns the parsed body on a 200, `None` on
 /// transport failure or any other status — for the detector those are
 /// the same thing: a miss.
@@ -806,14 +599,16 @@ fn run_prober(shared: Arc<Shared>) {
     // Tiny deterministic LCG for probe jitter — keeps probes from N
     // coordinators (or N shards) from landing in lockstep. Quality is
     // irrelevant; it only de-synchronises timers.
-    let mut jitter_state: u64 = 0x243f_6a88_85a3_08d3 ^ (shared.addr.port() as u64);
-    while !shared.shutdown.load(Ordering::Acquire) {
+    let mut jitter_state: u64 = 0x243f_6a88_85a3_08d3 ^ (shared.front.addr.port() as u64);
+    while !shared.front.is_shutting_down() {
         jitter_state = jitter_state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         let jitter = jitter_state % (shared.probe_ms / 4 + 1);
-        sleep_checking_shutdown(&shared, Duration::from_millis(shared.probe_ms + jitter));
-        if shared.shutdown.load(Ordering::Acquire) {
+        shared
+            .front
+            .sleep_checking_shutdown(Duration::from_millis(shared.probe_ms + jitter));
+        if shared.front.is_shutting_down() {
             return;
         }
         let timeout = Duration::from_millis(shared.probe_ms.max(50));
@@ -824,7 +619,7 @@ fn run_prober(shared: Arc<Shared>) {
                 continue;
             }
             *miss = miss.saturating_add(1);
-            shared.emit(Event::FailoverSuspect {
+            shared.front.emit(Event::FailoverSuspect {
                 shard: shard as u64,
                 addr: primary.to_string(),
                 misses: *miss as u64,
@@ -889,7 +684,7 @@ fn try_failover(shared: &Shared, shard: usize, timeout: Duration) -> bool {
         topo.replicas[shard].clone()
     };
     shared.promotions_total.fetch_add(1, Ordering::Relaxed);
-    shared.emit(Event::Failover {
+    shared.front.emit(Event::Failover {
         shard: shard as u64,
         epoch: new_epoch,
         old_primary: old_primary.to_string(),
@@ -952,15 +747,10 @@ fn handle_healthz(shared: &Shared) -> Response {
     w.str_field("status", "ok")
         .u64_field("shards", shared.shard_count as u64)
         .u64_field("datasets", datasets.len() as u64)
-        .u64_field("uptime_us", shared.started.elapsed().as_micros() as u64);
-    Response::json(200, w.finish())
-}
-
-fn handle_shutdown(shared: &Shared) -> Response {
-    shared.shutdown.store(true, Ordering::Release);
-    let _ = TcpStream::connect(shared.addr);
-    let mut w = ObjectWriter::new();
-    w.str_field("status", "shutting down");
+        .u64_field(
+            "uptime_us",
+            shared.front.started.elapsed().as_micros() as u64,
+        );
     Response::json(200, w.finish())
 }
 
@@ -988,57 +778,56 @@ fn handle_list(shared: &Shared) -> Response {
 }
 
 fn handle_metrics(shared: &Shared, req: &Request) -> Response {
-    match req.query_param("format") {
-        None | Some("") | Some("json") => {}
-        Some("prometheus") => {
-            let mut extras: Vec<(String, f64)> = Vec::new();
-            for counter in ["requests", "errors", "attempts", "total_us"] {
-                for (s, stats) in shared.shard_stats.iter().enumerate() {
-                    let value = match counter {
-                        "requests" => stats.requests.load(Ordering::Relaxed),
-                        "errors" => stats.errors.load(Ordering::Relaxed),
-                        "attempts" => stats.attempts.load(Ordering::Relaxed),
-                        _ => stats.total_us.load(Ordering::Relaxed),
-                    };
-                    extras.push((
-                        format!("skyline_shard_rpc_{counter}{{shard=\"{s}\"}}"),
-                        value as f64,
-                    ));
-                }
-            }
-            extras.push((
-                "skyline_replica_read_requests_total".to_string(),
-                shared.replica_requests.load(Ordering::Relaxed) as f64,
+    shared
+        .front
+        .metrics_response(req, || metrics_json(shared), || prometheus_extras(shared))
+}
+
+/// The series `/metrics?format=prometheus` adds to the front end's own.
+fn prometheus_extras(shared: &Shared) -> Vec<Extra> {
+    let mut extras = Vec::new();
+    for counter in ["requests", "errors", "attempts", "total_us"] {
+        for (s, stats) in shared.shard_stats.iter().enumerate() {
+            let value = match counter {
+                "requests" => stats.requests.load(Ordering::Relaxed),
+                "errors" => stats.errors.load(Ordering::Relaxed),
+                "attempts" => stats.attempts.load(Ordering::Relaxed),
+                _ => stats.total_us.load(Ordering::Relaxed),
+            };
+            extras.push(Extra::counter(
+                format!("skyline_shard_rpc_{counter}{{shard=\"{s}\"}}"),
+                value,
             ));
-            extras.push((
-                "skyline_replica_read_fallbacks_total".to_string(),
-                shared.replica_fallbacks.load(Ordering::Relaxed) as f64,
-            ));
-            extras.push((
-                "skyline_promotions_total".to_string(),
-                shared.promotions_total.load(Ordering::Relaxed) as f64,
-            ));
-            {
-                let topo = shared.topology.read().unwrap_or_else(|e| e.into_inner());
-                for (s, epoch) in topo.epochs.iter().enumerate() {
-                    extras.push((
-                        format!("skyline_shard_epoch{{shard=\"{s}\"}}"),
-                        *epoch as f64,
-                    ));
-                }
-            }
-            let datasets = shared.datasets.lock().unwrap_or_else(|e| e.into_inner());
-            extras.push(("skyline_datasets".to_string(), datasets.len() as f64));
-            drop(datasets);
-            return Response::text(200, shared.metrics.render_prometheus(&extras));
-        }
-        Some(other) => {
-            return Response::error(
-                400,
-                &format!("bad \"format\" value {other:?} (json or prometheus)"),
-            )
         }
     }
+    extras.push(Extra::counter(
+        "skyline_replica_read_requests_total",
+        shared.replica_requests.load(Ordering::Relaxed),
+    ));
+    extras.push(Extra::counter(
+        "skyline_replica_read_fallbacks_total",
+        shared.replica_fallbacks.load(Ordering::Relaxed),
+    ));
+    extras.push(Extra::counter(
+        "skyline_promotions_total",
+        shared.promotions_total.load(Ordering::Relaxed),
+    ));
+    {
+        let topo = shared.topology.read().unwrap_or_else(|e| e.into_inner());
+        for (s, epoch) in topo.epochs.iter().enumerate() {
+            extras.push(Extra::gauge(
+                format!("skyline_shard_epoch{{shard=\"{s}\"}}"),
+                *epoch as f64,
+            ));
+        }
+    }
+    let datasets = shared.datasets.lock().unwrap_or_else(|e| e.into_inner());
+    extras.push(Extra::gauge("skyline_datasets", datasets.len() as f64));
+    extras
+}
+
+/// The `/metrics` JSON document.
+fn metrics_json(shared: &Shared) -> String {
     let topo = shared
         .topology
         .read()
@@ -1076,81 +865,36 @@ fn handle_metrics(shared: &Shared, req: &Request) -> Response {
         .map(|m| m.lock().unwrap_or_else(|e| e.into_inner()).bytes())
         .unwrap_or(0);
     let mut w = ObjectWriter::new();
-    w.u64_field("uptime_us", shared.started.elapsed().as_micros() as u64)
-        .u64_field("threads", shared.threads as u64)
-        .u64_field("requests", shared.metrics.total_requests())
-        .u64_field(
-            "deadline_exceeded_total",
-            shared.metrics.deadline_exceeded_total(),
-        )
-        .u64_field("panics_total", shared.metrics.panics_total())
-        .u64_field("manifest_bytes", manifest_bytes)
-        .u64_field("recovery_replayed_records", shared.replayed)
-        .u64_field(
-            "replica_read_requests",
-            shared.replica_requests.load(Ordering::Relaxed),
-        )
-        .u64_field(
-            "replica_read_fallbacks",
-            shared.replica_fallbacks.load(Ordering::Relaxed),
-        )
-        .u64_field(
-            "promotions_total",
-            shared.promotions_total.load(Ordering::Relaxed),
-        )
-        .raw_field("endpoints", &shared.metrics.render_json())
-        .raw_field("stages", &shared.metrics.render_stages_json())
-        .raw_field("shards", &format!("[{}]", shard_objs.join(",")))
-        .raw_field("datasets", &format!("[{}]", dataset_objs.join(",")));
-    Response::json(200, w.finish())
-}
-
-fn parse_rows(v: &Value) -> Result<Vec<Vec<f64>>, String> {
-    let arr = v.as_arr().ok_or("\"rows\" must be an array of arrays")?;
-    arr.iter()
-        .enumerate()
-        .map(|(i, row)| {
-            let row = row
-                .as_arr()
-                .ok_or_else(|| format!("row {i} is not an array"))?;
-            row.iter()
-                .enumerate()
-                .map(|(j, val)| {
-                    val.as_f64()
-                        .ok_or_else(|| format!("row {i}, value {j} is not a number"))
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn parse_body(req: &Request) -> Result<Value, Response> {
-    let text = req
-        .body_str()
-        .map_err(|e| Response::error(400, &e.to_string()))?;
-    Value::parse(text).map_err(|e| Response::error(400, &format!("bad JSON body: {e}")))
-}
-
-/// Serialise rows as `[[f64, ...], ...]` — `{}` formatting is shortest
-/// round-trip, so shards reconstruct the exact coordinates.
-fn rows_json(rows: &[&[f64]]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        for (j, v) in row.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{v}");
-        }
-        out.push(']');
-    }
-    out.push(']');
-    out
+    w.u64_field(
+        "uptime_us",
+        shared.front.started.elapsed().as_micros() as u64,
+    )
+    .u64_field("threads", shared.front.threads as u64)
+    .u64_field("requests", shared.front.metrics.total_requests())
+    .u64_field(
+        "deadline_exceeded_total",
+        shared.front.metrics.deadline_exceeded_total(),
+    )
+    .u64_field("panics_total", shared.front.metrics.panics_total())
+    .u64_field("manifest_bytes", manifest_bytes)
+    .u64_field("recovery_replayed_records", shared.replayed)
+    .u64_field(
+        "replica_read_requests",
+        shared.replica_requests.load(Ordering::Relaxed),
+    )
+    .u64_field(
+        "replica_read_fallbacks",
+        shared.replica_fallbacks.load(Ordering::Relaxed),
+    )
+    .u64_field(
+        "promotions_total",
+        shared.promotions_total.load(Ordering::Relaxed),
+    )
+    .raw_field("endpoints", &shared.front.metrics.render_json())
+    .raw_field("stages", &shared.front.metrics.render_stages_json())
+    .raw_field("shards", &format!("[{}]", shard_objs.join(",")))
+    .raw_field("datasets", &format!("[{}]", dataset_objs.join(",")));
+    w.finish()
 }
 
 /// Partition `rows` (paired with their global ids, arrival order) by
@@ -1202,7 +946,7 @@ fn fan_out_insert(
         if globals.is_empty() {
             return None;
         }
-        let body = format!("{{\"rows\":{}}}", rows_json(rows));
+        let body = format!("{{\"rows\":{}}}", json::rows_json(rows.iter().copied()));
         Some(
             shard_rpc(
                 shared,
@@ -1674,20 +1418,15 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
     let algo = req.query_param("algo").filter(|a| !a.is_empty());
     timer.mark("accept");
 
-    // Snapshot the registry: dims, version, per-shard mutation versions
-    // and the per-shard handle→global maps (Arc clones — the query must
-    // not block behind later mutations, nor see half of one).
-    let (total_dims, version, handle_maps, shard_versions) = {
+    // Snapshot the registry: dims, version and the per-shard
+    // handle→global maps (Arc clones — the query must not block behind
+    // later mutations, nor see half of one).
+    let (total_dims, version, handle_maps) = {
         let datasets = shared.datasets.lock().unwrap_or_else(|e| e.into_inner());
         let Some(state) = datasets.get(name) else {
             return Response::error(404, &format!("no dataset {name:?}"));
         };
-        (
-            state.dims,
-            state.version,
-            state.handle_to_global.clone(),
-            state.shard_versions.clone(),
-        )
+        (state.dims, state.version, state.handle_to_global.clone())
     };
 
     let full = Subspace::full(total_dims);
@@ -1720,8 +1459,8 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
 
     let algo_label = algo.unwrap_or("SDI-Subset").to_string();
     let deadline_response = |shared: &Shared| {
-        shared.metrics.inc_deadline_exceeded();
-        shared.emit(Event::DeadlineExceeded {
+        shared.front.metrics.inc_deadline_exceeded();
+        shared.front.emit(Event::DeadlineExceeded {
             dataset: name.to_string(),
             algorithm: algo_label.clone(),
             deadline_ms: deadline_ms.unwrap_or(0),
@@ -1751,10 +1490,6 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
     if let Some(raw) = req.query_param("dims").filter(|d| !d.is_empty()) {
         path.push_str(&format!("&dims={}", encode_component(raw)));
     }
-    // Everything the shards see except the (reuse-irrelevant) deadline:
-    // the reuse cache key, so a cached answer is only ever replayed for
-    // the byte-identical shard query.
-    let reuse_sig = path.clone();
     let remaining = budget.map(|b| b.saturating_sub(overall.elapsed()));
     if let Some(rem) = remaining {
         if rem.is_zero() {
@@ -1763,31 +1498,11 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
         path.push_str(&format!("&deadline_ms={}", rem.as_millis().max(1)));
     }
     let shard_count = shared.shard_count;
-
-    // With `--shard-reuse` on, a shard whose mutation version is
-    // unchanged since its last parsed answer for this exact query is
-    // served from that answer and its scatter leg never happens.
-    let mut reused: Vec<Option<Arc<ShardSkyline>>> = vec![None; shard_count];
-    if shared.shard_reuse {
-        let cache = shared.reuse.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(entry) = cache.get(&(name.to_string(), reuse_sig.clone())) {
-            for (s, slot) in entry.iter().enumerate().take(shard_count) {
-                if let Some((v, sky)) = slot {
-                    if *v == shard_versions[s] {
-                        reused[s] = Some(Arc::clone(sky));
-                    }
-                }
-            }
-        }
-    }
     timer.mark("route");
     let legs = scatter(shard_count, |s| {
-        if reused[s].is_some() {
-            return None;
-        }
         let leg_start = Instant::now();
         let result = shard_read_rpc(shared, s, &path, remaining, Some(&ctx));
-        Some((result, leg_start.elapsed().as_micros() as u64))
+        (result, leg_start.elapsed().as_micros() as u64)
     });
 
     // Split the scatter wall-clock into connect / send / shard_wait
@@ -1798,10 +1513,7 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
     let mut max_send = 0u64;
     let mut straggler = String::new();
     let mut straggler_us = 0u64;
-    for (s, leg) in legs.iter().enumerate() {
-        let Some((outcome, leg_us)) = leg else {
-            continue; // reused shard: no RPC, no stage times
-        };
+    for (s, (outcome, leg_us)) in legs.iter().enumerate() {
         if *leg_us >= straggler_us {
             straggler_us = *leg_us;
             straggler = format!("shard{s}");
@@ -1822,19 +1534,13 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
         "shard_wait",
     );
 
-    let mut parsed: Vec<Option<Arc<ShardSkyline>>> = Vec::with_capacity(shard_count);
+    let mut parsed: Vec<Option<ShardSkyline>> = Vec::with_capacity(shard_count);
     let mut missing: Vec<u64> = Vec::new();
-    let mut reused_shards: Vec<u64> = Vec::new();
-    for (s, leg) in legs.into_iter().enumerate() {
-        let Some((outcome, _)) = leg else {
-            reused_shards.push(s as u64);
-            parsed.push(reused[s].take());
-            continue;
-        };
+    for (s, (outcome, _)) in legs.into_iter().enumerate() {
         match outcome {
             Ok((resp, _)) if resp.status == 200 => {
                 match parse_shard_skyline(&resp.body_str(), query_dims) {
-                    Ok(sky) => parsed.push(Some(Arc::new(sky))),
+                    Ok(sky) => parsed.push(Some(sky)),
                     Err(_) => {
                         missing.push(s as u64);
                         parsed.push(None);
@@ -1852,28 +1558,6 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
         return Response::error(502, "no shard answered the skyline query");
     }
     let partial = !missing.is_empty();
-
-    // Remember every answer we now hold (fresh or replayed) under the
-    // shard version it reflects, so the *next* identical query can skip
-    // the RPC to any shard that has not moved since.
-    if shared.shard_reuse {
-        let mut cache = shared.reuse.lock().unwrap_or_else(|e| e.into_inner());
-        let key = (name.to_string(), reuse_sig);
-        // Crude but bounded: past 64 distinct (dataset, query) shapes,
-        // start over rather than grow without limit.
-        if cache.len() >= 64 && !cache.contains_key(&key) {
-            cache.clear();
-        }
-        let entry = cache.entry(key).or_insert_with(|| vec![None; shard_count]);
-        if entry.len() != shard_count {
-            *entry = vec![None; shard_count];
-        }
-        for (s, sky) in parsed.iter().enumerate() {
-            if let Some(sky) = sky {
-                entry[s] = Some((shard_versions[s], Arc::clone(sky)));
-            }
-        }
-    }
 
     // Translate shard handles to global ids and assemble the merge
     // inputs. Rows live in one arena so elite references and the
@@ -1925,7 +1609,7 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
     let mut metrics = Metrics::new();
     let merge_start = Instant::now();
     let row_of = |key: u64| rows_store[row_index[&key]].as_slice();
-    let merged: Result<Vec<u64>, Cancelled> = match &shared.recorder {
+    let merged: Result<Vec<u64>, Cancelled> = match &shared.front.recorder {
         Some(rec) => {
             let mut rec = rec.lock().unwrap_or_else(|e| e.into_inner());
             merge_shard_skylines(
@@ -1954,7 +1638,7 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
         Ok(ids) => ids,
         Err(Cancelled) => return deadline_response(shared),
     };
-    shared.emit(Event::ClusterMerge {
+    shared.front.emit(Event::ClusterMerge {
         shards: shard_count as u64,
         missing: missing.len() as u64,
         candidates: entries.len() as u64,
@@ -1982,8 +1666,7 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
         .u64_array_field("ids", &ids)
         .u64_field("shards", shard_count as u64)
         .bool_field("partial", partial)
-        .u64_array_field("missing_shards", &missing)
-        .u64_array_field("reused_shards", &reused_shards);
+        .u64_array_field("missing_shards", &missing);
     if wants_timings {
         let mut t = ObjectWriter::new();
         for (stage, us) in timer.stages() {
@@ -1991,52 +1674,12 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
         }
         w.raw_field("timings", &t.finish());
     }
-    finish_cluster_skyline(
-        shared,
+    shared.front.finish_skyline(
         timer,
-        &ctx,
+        &ctx.trace_id,
         straggler,
         Response::json(200, w.finish()),
     )
-}
-
-/// Seal a coordinator `/skyline` response: mark the `respond` stage,
-/// record the per-stage histograms, attach the stage-times and trace
-/// headers, and emit the stitched `stage_breakdown` — to the trace sink
-/// always, and to the slow-query log past `--slow-ms`.
-fn finish_cluster_skyline(
-    shared: &Shared,
-    mut timer: StageTimer,
-    ctx: &TraceContext,
-    straggler: String,
-    resp: Response,
-) -> Response {
-    timer.mark("respond");
-    shared.metrics.record_stages(timer.stages());
-    let entries = timer.all_entries();
-    let resp = resp
-        .with_header(
-            trace::STAGE_TIMES_HEADER,
-            &trace::encode_stage_times(&entries),
-        )
-        .with_header(trace::TRACE_HEADER, &ctx.trace_id);
-    let total_us = timer.stages().iter().map(|(_, us)| us).sum();
-    let breakdown = Event::StageBreakdown {
-        trace: ctx.trace_id.clone(),
-        endpoint: "/skyline".to_string(),
-        total_us,
-        stages: entries,
-        straggler,
-    };
-    if shared.slow_ms > 0 && total_us >= shared.slow_ms.saturating_mul(1000) {
-        shared.emit_slow(breakdown.clone());
-        if shared.slow_log.is_some() {
-            shared.emit(breakdown);
-        }
-    } else {
-        shared.emit(breakdown);
-    }
-    resp
 }
 
 #[cfg(test)]
@@ -2053,8 +1696,12 @@ mod tests {
 
     #[test]
     fn rows_json_is_exact_for_awkward_floats() {
-        let rows: Vec<&[f64]> = vec![&[0.1, 2.0 / 3.0], &[f64::MIN_POSITIVE, 1e300]];
-        let json = rows_json(&rows);
+        let rows: Vec<&[f64]> = vec![
+            &[0.1, 2.0 / 3.0],
+            &[f64::MIN_POSITIVE, 1e300],
+            &[f64::INFINITY, f64::NEG_INFINITY],
+        ];
+        let json = json::rows_json(rows.iter().copied());
         let v = Value::parse(&json).unwrap();
         let arr = v.as_arr().unwrap();
         for (i, row) in rows.iter().enumerate() {

@@ -52,15 +52,6 @@ pub struct DatasetState {
     pub locations: HashMap<u64, (u32, u32)>,
     /// Per shard: shard-local handle → global id.
     pub handle_to_global: Vec<Arc<HashMap<u32, u64>>>,
-    /// Per-shard mutation counters: bumped inside [`record_insert`] /
-    /// [`record_remove`] for every shard a mutation actually touched, so
-    /// manifest replay reproduces them exactly. A shard whose counter is
-    /// unchanged between two queries holds byte-identical rows, which is
-    /// what lets the coordinator reuse its previous skyline answer.
-    ///
-    /// [`record_insert`]: DatasetState::record_insert
-    /// [`record_remove`]: DatasetState::record_remove
-    pub shard_versions: Vec<u64>,
 }
 
 impl DatasetState {
@@ -73,7 +64,6 @@ impl DatasetState {
             live: 0,
             locations: HashMap::new(),
             handle_to_global: (0..shard_count).map(|_| Arc::new(HashMap::new())).collect(),
-            shard_versions: vec![0; shard_count],
         }
     }
 
@@ -91,7 +81,6 @@ impl DatasetState {
             self.next_global = self.next_global.max(g + 1);
         }
         self.live += globals.len();
-        self.shard_versions[shard] += 1;
     }
 
     /// Drop these global ids from the maps, returning, per shard, the
@@ -105,11 +94,6 @@ impl DatasetState {
                 Arc::make_mut(&mut self.handle_to_global[shard as usize]).remove(&handle);
                 per_shard[shard as usize].push(handle);
                 self.live -= 1;
-            }
-        }
-        for (shard, handles) in per_shard.iter().enumerate() {
-            if !handles.is_empty() {
-                self.shard_versions[shard] += 1;
             }
         }
         per_shard
@@ -157,22 +141,6 @@ mod tests {
         assert!(!st.handle_to_global[0].contains_key(&1));
         // Ids are never reused even after removal.
         assert_eq!(st.next_global, 4);
-        // One insert + one remove touched each shard.
-        assert_eq!(st.shard_versions, vec![2, 2]);
-    }
-
-    #[test]
-    fn shard_versions_move_only_for_touched_shards() {
-        let mut st = DatasetState::new(2, 3);
-        assert_eq!(st.shard_versions, vec![0, 0, 0]);
-        st.record_insert(1, &[0, 1], &[0, 1]);
-        assert_eq!(st.shard_versions, vec![0, 1, 0]);
-        // Empty groups and misses leave the counters alone.
-        st.record_insert(0, &[], &[]);
-        st.record_remove(&[42]);
-        assert_eq!(st.shard_versions, vec![0, 1, 0]);
-        st.record_remove(&[1]);
-        assert_eq!(st.shard_versions, vec![0, 2, 0]);
     }
 
     #[test]

@@ -23,6 +23,55 @@ pub fn escape_into(s: &str, out: &mut String) {
     }
 }
 
+/// Append `v` so it round-trips through [`Value::parse`]. Rust's
+/// shortest-representation `Display` is exact for finite values;
+/// infinities are written as overflowing literals (`parse` saturates
+/// them back to the infinity), and NaN, which datasets refuse, as
+/// `null`.
+pub fn fmt_f64(v: f64, out: &mut String) {
+    if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else if v > 0.0 {
+        out.push_str("1e999");
+    } else if v < 0.0 {
+        out.push_str("-1e999");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// One row of coordinates as a JSON array, each value via [`fmt_f64`].
+pub fn row_json(row: &[f64]) -> String {
+    let mut out = String::with_capacity(row.len() * 8 + 2);
+    push_row(row, &mut out);
+    out
+}
+
+/// Rows of coordinates as a JSON array of arrays, each value via
+/// [`fmt_f64`].
+pub fn rows_json<'a>(rows: impl IntoIterator<Item = &'a [f64]>) -> String {
+    let mut out = String::from("[");
+    for (i, row) in rows.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_row(row, &mut out);
+    }
+    out.push(']');
+    out
+}
+
+fn push_row(row: &[f64], out: &mut String) {
+    out.push('[');
+    for (i, &v) in row.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        fmt_f64(v, out);
+    }
+    out.push(']');
+}
+
 /// Incremental writer for a single-line JSON object.
 ///
 /// ```

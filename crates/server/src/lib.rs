@@ -11,6 +11,9 @@
 //! - [`http`] — request/response framing with hard limits;
 //! - [`pool`] — a fixed-size worker pool over `mpsc`; dropping the sender
 //!   is the graceful-shutdown signal;
+//! - [`service`] — the HTTP front end this server shares with the
+//!   cluster coordinator: accept thread, keep-alive connection loop,
+//!   running handle, trace sinks and request helpers;
 //! - [`registry`] — named datasets, each a [`StreamingSkyline`] plus an
 //!   immutable snapshot rebuilt on mutation, behind an `RwLock` so
 //!   readers only pay an `Arc` clone;
@@ -32,7 +35,8 @@
 //! expiry), an admission gate sheds excess load with 503 +
 //! `Retry-After` (global `max_inflight`, per-dataset caps, and a
 //! connection-queue limit), and handler panics are isolated into 500s
-//! while the worker pool respawns panicked workers.
+//! while the worker pool respawns panicked workers. Shutdown closes idle
+//! connections at once and lets in-flight requests finish.
 //!
 //! Endpoints: `GET /healthz`, `GET /metrics`, `GET /datasets`,
 //! `POST /datasets`, `POST|DELETE /datasets/{name}/points`,
@@ -58,15 +62,13 @@ pub mod metrics;
 pub mod pool;
 pub mod registry;
 pub mod replica;
+pub mod service;
 pub mod wal;
 
-use std::fs::File;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use skyline_algos::skyband::k_skyband_ids;
@@ -77,16 +79,16 @@ use skyline_core::metrics::Metrics;
 use skyline_core::point::PointId;
 use skyline_core::subspace::Subspace;
 use skyline_data::synthetic::{Distribution, SyntheticSpec};
-use skyline_obs::json::{ObjectWriter, Value};
-use skyline_obs::trace::{self, StageTimer};
-use skyline_obs::{Event, JsonlRecorder, Recorder};
+use skyline_obs::json::{self, ObjectWriter, Value};
+use skyline_obs::trace::StageTimer;
+use skyline_obs::Event;
 
 use cache::{CacheKey, CachedResult, ResultCache};
-use http::{HttpError, Request, Response};
-use metrics::ServerMetrics;
-use pool::ThreadPool;
+use http::{Request, Response};
+use metrics::Extra;
 use registry::{Registry, RegistryError};
 use replica::Role;
+use service::{inherited_trace, parse_body, parse_rows, FrontConfig, FrontEnd, Service};
 
 /// Request header carrying the fencing epoch the sender believes is
 /// current. A mismatch against the receiving node's own epoch is
@@ -181,61 +183,29 @@ impl Default for ServerConfig {
 
 /// State shared by every worker.
 struct Shared {
-    addr: SocketAddr,
+    front: FrontEnd,
     registry: Registry,
     cache: ResultCache,
-    metrics: ServerMetrics,
-    recorder: Option<Mutex<JsonlRecorder<File>>>,
-    shutdown: AtomicBool,
-    started: Instant,
-    threads: usize,
     /// `/skyline` queries currently executing (admission gate).
     inflight: AtomicUsize,
     max_inflight: usize,
     /// Per-dataset concurrent `/skyline` query counts.
     dataset_inflight: Mutex<std::collections::HashMap<String, usize>>,
     max_queries_per_dataset: usize,
-    /// Slow-query threshold in milliseconds; `0` = disabled.
-    slow_ms: u64,
-    /// Dedicated slow-query sink (falls back to `recorder`).
-    slow_log: Option<Mutex<JsonlRecorder<File>>>,
     /// The node's failover state: role, fencing epoch, and replication
     /// progress. Present on every server — a primary can be demoted
     /// into a follower and a follower promoted, both in place.
     failover: replica::ReplicaState,
 }
 
-impl Shared {
-    fn emit(&self, event: Event) {
-        if let Some(rec) = &self.recorder {
-            let mut rec = rec.lock().unwrap_or_else(|e| e.into_inner());
-            rec.event(event);
-            // Request-level events are rare enough to flush eagerly, so
-            // a live trace file can be tailed without a shutdown.
-            rec.flush();
-        }
+impl Service for Shared {
+    fn front(&self) -> &FrontEnd {
+        &self.front
     }
 
-    /// Write a slow-query record to the dedicated slow log, or to the
-    /// trace sink when none is configured.
-    fn emit_slow(&self, event: Event) {
-        if let Some(log) = &self.slow_log {
-            let mut log = log.lock().unwrap_or_else(|e| e.into_inner());
-            log.event(event);
-            log.flush();
-        } else {
-            self.emit(event);
-        }
+    fn route(&self, req: &Request) -> (Response, &'static str) {
+        route(self, req)
     }
-}
-
-/// The validated trace id a request carries in `X-Skyline-Trace`, or
-/// `""` when absent or malformed (never propagate junk into traces).
-fn inherited_trace(req: &Request) -> String {
-    req.header(trace::TRACE_HEADER)
-        .filter(|t| trace::is_valid_id(t))
-        .unwrap_or("")
-        .to_string()
 }
 
 /// RAII permit from the global admission gate: decrements the inflight
@@ -318,28 +288,16 @@ fn acquire_dataset_slot<'a>(
     }))
 }
 
-/// A 503 with `Retry-After`, counted and traced as shed load.
-fn shed_response(shared: &Shared, endpoint: &str, why: &str) -> Response {
-    shared.metrics.inc_shed();
-    shared.emit(Event::Shed {
-        endpoint: endpoint.to_string(),
-    });
-    Response::error(503, why).with_header("Retry-After", "1")
-}
-
 /// A running server. Dropping the handle shuts the server down.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    /// Replication supervisor thread: tails the primary's feeds while
-    /// the node is a follower, idles while it is a primary.
-    tail: Option<JoinHandle<()>>,
+    running: service::Running,
 }
 
 impl ServerHandle {
     /// The address the server is listening on (with the resolved port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.running.local_addr()
     }
 
     /// Current cache counters (for tests and post-run reports).
@@ -350,27 +308,13 @@ impl ServerHandle {
     /// Block until the server stops (via `POST /shutdown` or
     /// [`ServerHandle::shutdown`] from another thread).
     pub fn wait(&mut self) {
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.tail.take() {
-            let _ = t.join();
-        }
+        self.running.wait();
     }
 
-    /// Stop accepting connections, drain in-flight requests, and join
-    /// every thread. Idempotent.
+    /// Stop accepting connections, close idle ones, let in-flight
+    /// requests finish, and join every thread. Idempotent.
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        // Nudge the blocking accept() so the loop observes the flag.
-        let _ = TcpStream::connect(self.shared.addr);
-        self.wait();
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.running.shutdown();
     }
 }
 
@@ -380,16 +324,6 @@ pub struct Server;
 impl Server {
     /// Bind `config.bind` and start serving on a background thread.
     pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
-        let listener = TcpListener::bind(&config.bind)?;
-        let addr = listener.local_addr()?;
-        let recorder = match &config.trace {
-            Some(path) => Some(Mutex::new(JsonlRecorder::create(path)?)),
-            None => None,
-        };
-        let slow_log = match &config.slow_log {
-            Some(path) => Some(Mutex::new(JsonlRecorder::create(path)?)),
-            None => None,
-        };
         if config.follow.is_some() && config.data_dir.is_some() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -397,6 +331,17 @@ impl Server {
                  (durability lives on the primary)",
             ));
         }
+        let (listener, front) = FrontEnd::bind(FrontConfig {
+            bind: config.bind.clone(),
+            name: "skyline",
+            threads: config.threads,
+            request_timeout: config.request_timeout,
+            max_body: config.max_body,
+            queue_limit: config.queue_limit,
+            trace: config.trace.clone(),
+            slow_ms: config.slow_ms,
+            slow_log: config.slow_log.clone(),
+        })?;
         let registry = match &config.data_dir {
             Some(dir) => {
                 let mut storage = wal::StorageConfig::new(dir.clone());
@@ -415,150 +360,31 @@ impl Server {
             None => Role::Primary,
         };
         let shared = Arc::new(Shared {
-            addr,
+            front,
             registry,
             cache: ResultCache::new(config.cache_capacity),
-            metrics: ServerMetrics::new(),
-            recorder,
-            shutdown: AtomicBool::new(false),
-            started: Instant::now(),
-            threads: config.threads.max(1),
             inflight: AtomicUsize::new(0),
             max_inflight: config.max_inflight,
             dataset_inflight: Mutex::new(std::collections::HashMap::new()),
             max_queries_per_dataset: config.max_queries_per_dataset,
-            slow_ms: config.slow_ms,
-            slow_log,
             failover: replica::ReplicaState::new(role, config.follow_wait_ms, boot_epoch),
         });
         for (dataset, replayed, version) in shared.registry.recovery_log() {
-            shared.emit(Event::Recovery {
+            shared.front.emit(Event::Recovery {
                 dataset: dataset.clone(),
                 replayed: *replayed,
                 version: *version,
             });
         }
-        let accept_shared = Arc::clone(&shared);
-        let timeout = config.request_timeout;
-        let max_body = config.max_body;
-        let threads = config.threads;
-        let queue_limit = config.queue_limit;
-        let accept = std::thread::Builder::new()
-            .name("skyline-accept".to_string())
-            .spawn(move || {
-                // The pool lives in the accept thread: when the loop
-                // breaks, dropping it drains queued connections and joins
-                // the workers, so shutdown never truncates a response.
-                let pool = ThreadPool::new(threads, "skyline-worker");
-                for stream in listener.incoming() {
-                    if accept_shared.shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    if queue_limit > 0 && pool.queue_depth() >= queue_limit {
-                        shed_connection(stream, &accept_shared);
-                        continue;
-                    }
-                    let conn_shared = Arc::clone(&accept_shared);
-                    if pool
-                        .execute(move || handle_connection(stream, conn_shared, timeout, max_body))
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-            })?;
+        let mut running = service::start(listener, shared.clone())?;
         // The supervisor runs on every server, not just boot-time
         // followers: it idles while the node is a primary and starts
         // tailing the moment a demotion flips the role.
         let tail_shared = Arc::clone(&shared);
-        let tail = Some(
-            std::thread::Builder::new()
-                .name("skyline-follower".to_string())
-                .spawn(move || replica::run_follower(tail_shared))?,
-        );
-        Ok(ServerHandle {
-            shared,
-            accept: Some(accept),
-            tail,
-        })
-    }
-}
-
-/// Shed a connection straight from the accept loop: the worker queue is
-/// over its limit, so write one 503 inline without occupying a worker.
-fn shed_connection(mut stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    shared.metrics.record("?", "(shed)", 503, 0);
-    let response = shed_response(
-        shared,
-        "(accept)",
-        "server overloaded: connection queue is full",
-    );
-    let _ = response.write_to(&mut stream);
-}
-
-fn handle_connection(stream: TcpStream, shared: Arc<Shared>, timeout: Duration, max_body: usize) {
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    let _ = stream.set_nodelay(true); // latency over throughput: no Nagle stalls
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        match Request::read_from(&mut reader, max_body) {
-            Ok(Some(req)) => {
-                let start = Instant::now();
-                // Panic isolation: a handler bug takes down one request,
-                // not the worker (and with it the keep-alive connection
-                // queue). The sentinel in [`pool`] would respawn the
-                // worker anyway, but catching here turns the failure into
-                // a well-formed 500 instead of a dropped connection.
-                let (response, endpoint) =
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        route(&shared, &req)
-                    })) {
-                        Ok(pair) => pair,
-                        Err(_) => {
-                            shared.metrics.inc_panics();
-                            shared.emit(Event::HandlerPanic {
-                                endpoint: req.path.clone(),
-                            });
-                            (
-                                Response::error(500, "internal error: handler panicked"),
-                                "(panic)",
-                            )
-                        }
-                    };
-                let elapsed_us = start.elapsed().as_micros() as u64;
-                shared
-                    .metrics
-                    .record(&req.method, endpoint, response.status, elapsed_us);
-                shared.emit(Event::Request {
-                    method: req.method.clone(),
-                    endpoint: endpoint.to_string(),
-                    status: response.status as u64,
-                    elapsed_us,
-                    trace: inherited_trace(&req),
-                });
-                let close = req.wants_close() || shared.shutdown.load(Ordering::Acquire);
-                if response.write_to(&mut writer).is_err() || close {
-                    return;
-                }
-            }
-            Ok(None) => return,              // idle keep-alive connection closed
-            Err(HttpError::Io(_)) => return, // timeout or reset: peer is gone
-            Err(e) => {
-                let status = match e {
-                    HttpError::TooLarge { .. } => 413,
-                    _ => 400,
-                };
-                shared.metrics.record("?", "(malformed)", status, 0);
-                let _ = Response::error(status, &e.to_string()).write_to(&mut writer);
-                return;
-            }
-        }
+        running.spawn("skyline-follower", move || {
+            replica::run_follower(tail_shared)
+        })?;
+        Ok(ServerHandle { shared, running })
     }
 }
 
@@ -631,7 +457,7 @@ fn route(shared: &Shared, req: &Request) -> (Response, &'static str) {
         },
         ("POST", "/promote") => (handle_promote(shared, req), "/promote"),
         ("POST", "/demote") => (handle_demote(shared, req), "/demote"),
-        ("POST", "/shutdown") => (handle_shutdown(shared), "/shutdown"),
+        ("POST", "/shutdown") => (shared.front.handle_shutdown(), "/shutdown"),
         (
             _,
             "/healthz" | "/metrics" | "/skyline" | "/datasets" | "/shutdown" | "/promote"
@@ -684,7 +510,10 @@ fn handle_healthz(shared: &Shared) -> Response {
         .u64_field("datasets", infos.len() as u64)
         .u64_field("applied_version", applied)
         .raw_field("versions", &versions.finish())
-        .u64_field("uptime_us", shared.started.elapsed().as_micros() as u64);
+        .u64_field(
+            "uptime_us",
+            shared.front.started.elapsed().as_micros() as u64,
+        );
     Response::json(200, w.finish())
 }
 
@@ -711,7 +540,7 @@ fn fence_check(shared: &Shared, req: &Request, endpoint: &str) -> Option<Respons
         return None;
     }
     shared.failover.fenced_total.fetch_add(1, Ordering::Relaxed);
-    shared.emit(Event::FencedRequest {
+    shared.front.emit(Event::FencedRequest {
         endpoint: endpoint.to_string(),
         request_epoch,
         node_epoch,
@@ -721,14 +550,14 @@ fn fence_check(shared: &Shared, req: &Request, endpoint: &str) -> Option<Respons
         if let Some(primary) = req
             .header(PRIMARY_HEADER)
             .and_then(|p| p.parse::<SocketAddr>().ok())
-            .filter(|p| *p != shared.addr)
+            .filter(|p| *p != shared.front.addr)
         {
             if shared.failover.demote(request_epoch, primary).is_ok() {
                 // Followers are memory-only so this is a no-op there; a
                 // durable node that fails the write re-learns the epoch
                 // from the next fenced request.
                 let _ = shared.registry.persist_epoch(request_epoch);
-                shared.emit(Event::Demotion {
+                shared.front.emit(Event::Demotion {
                     epoch: request_epoch,
                     primary: primary.to_string(),
                 });
@@ -775,7 +604,7 @@ fn handle_promote(shared: &Shared, req: &Request) -> Response {
             }
             let infos = shared.registry.list();
             let applied: u64 = infos.iter().map(|i| i.version).sum();
-            shared.emit(Event::Promotion {
+            shared.front.emit(Event::Promotion {
                 epoch,
                 datasets: infos.len() as u64,
                 version: applied,
@@ -808,7 +637,7 @@ fn handle_demote(shared: &Shared, req: &Request) -> Response {
     else {
         return Response::error(400, "body needs \"primary\" as host:port");
     };
-    if primary == shared.addr {
+    if primary == shared.front.addr {
         return Response::error(400, "refusing to demote into following myself");
     }
     match shared.failover.demote(epoch, primary) {
@@ -821,7 +650,7 @@ fn handle_demote(shared: &Shared, req: &Request) -> Response {
         }
         Ok(()) => {
             let _ = shared.registry.persist_epoch(epoch);
-            shared.emit(Event::Demotion {
+            shared.front.emit(Event::Demotion {
                 epoch,
                 primary: primary.to_string(),
             });
@@ -832,15 +661,6 @@ fn handle_demote(shared: &Shared, req: &Request) -> Response {
             Response::json(200, w.finish())
         }
     }
-}
-
-fn handle_shutdown(shared: &Shared) -> Response {
-    shared.shutdown.store(true, Ordering::Release);
-    // Nudge accept() from here too, in case no further connection comes.
-    let _ = TcpStream::connect(shared.addr);
-    let mut w = ObjectWriter::new();
-    w.str_field("status", "shutting down");
-    Response::json(200, w.finish())
 }
 
 fn dataset_info_json(info: &registry::DatasetInfo) -> String {
@@ -905,7 +725,7 @@ fn change_record_json(record: &skyline_core::changelog::ChangeRecord, with_ops: 
     if with_ops {
         match &record.op {
             ChangeOp::Insert { row } => {
-                w.raw_field("row", &wal::row_json(row));
+                w.raw_field("row", &json::row_json(row));
             }
             ChangeOp::Remove { id } => {
                 w.u64_field("remove", *id as u64);
@@ -975,7 +795,7 @@ fn handle_changes(shared: &Shared, name: &str, req: &Request) -> Response {
     let deadline = Instant::now() + Duration::from_millis(wait_ms.min(MAX_WAIT_MS));
     loop {
         let now = Instant::now();
-        if now >= deadline || shared.shutdown.load(Ordering::Acquire) {
+        if now >= deadline || shared.front.is_shutting_down() {
             break;
         }
         let slice = (deadline - now).min(Duration::from_millis(250));
@@ -985,7 +805,7 @@ fn handle_changes(shared: &Shared, name: &str, req: &Request) -> Response {
     }
     match entry.changes_since(since, limit) {
         Err(gone) => {
-            shared.emit(Event::FeedPoll {
+            shared.front.emit(Event::FeedPoll {
                 dataset: name.to_string(),
                 since,
                 returned: 0,
@@ -1006,7 +826,7 @@ fn handle_changes(shared: &Shared, name: &str, req: &Request) -> Response {
         }
         Ok(batch) => {
             let heartbeat = batch.records.is_empty();
-            shared.emit(Event::FeedPoll {
+            shared.front.emit(Event::FeedPoll {
                 dataset: name.to_string(),
                 since,
                 returned: batch.records.len() as u64,
@@ -1053,82 +873,72 @@ fn cache_hit_rate(stats: &cache::CacheStats) -> f64 {
 
 fn handle_metrics(shared: &Shared, req: &Request) -> Response {
     let stats = shared.cache.stats();
-    match req.query_param("format") {
-        None | Some("") | Some("json") => {}
-        Some("prometheus") => {
-            let extras = vec![
-                ("skyline_cache_hits_total".to_string(), stats.hits as f64),
-                (
-                    "skyline_cache_misses_total".to_string(),
-                    stats.misses as f64,
-                ),
-                (
-                    "skyline_cache_evictions_total".to_string(),
-                    stats.evictions as f64,
-                ),
-                (
-                    "skyline_cache_invalidations_total".to_string(),
-                    stats.invalidations as f64,
-                ),
-                (
-                    "skyline_cache_patched_total".to_string(),
-                    stats.patched as f64,
-                ),
-                ("skyline_cache_entries".to_string(), stats.entries as f64),
-                ("skyline_cache_hit_rate".to_string(), cache_hit_rate(&stats)),
-                ("skyline_datasets".to_string(), shared.registry.len() as f64),
-            ];
-            let mut extras = extras;
-            let state = &shared.failover;
-            extras.push(("skyline_epoch".to_string(), state.epoch() as f64));
-            extras.push((
-                "skyline_promotions_total".to_string(),
-                state.promotions_total.load(Ordering::Relaxed) as f64,
-            ));
-            extras.push((
-                "skyline_demotions_total".to_string(),
-                state.demotions_total.load(Ordering::Relaxed) as f64,
-            ));
-            extras.push((
-                "skyline_fenced_requests_total".to_string(),
-                state.fenced_total.load(Ordering::Relaxed) as f64,
-            ));
-            extras.push((
-                "skyline_replica_applied_total".to_string(),
-                state.applied_total.load(Ordering::Relaxed) as f64,
-            ));
-            extras.push((
-                "skyline_replica_duplicates_total".to_string(),
-                state.duplicates_total.load(Ordering::Relaxed) as f64,
-            ));
-            extras.push((
-                "skyline_replica_resyncs_total".to_string(),
-                state.resyncs_total.load(Ordering::Relaxed) as f64,
-            ));
-            // One family at a time: the renderer writes a TYPE line
-            // per consecutive run of the same metric family.
-            let progress = state.progress_snapshot();
-            for (dataset, applied, latest) in &progress {
-                extras.push((
-                    format!("skyline_replica_lag_versions{{dataset=\"{dataset}\"}}"),
-                    latest.saturating_sub(*applied) as f64,
-                ));
-            }
-            for (dataset, applied, _) in &progress {
-                extras.push((
-                    format!("skyline_replica_applied_version{{dataset=\"{dataset}\"}}"),
-                    *applied as f64,
-                ));
-            }
-            return Response::text(200, shared.metrics.render_prometheus(&extras));
-        }
-        Some(other) => {
-            return Response::error(
-                400,
-                &format!("bad \"format\" value {other:?} (json or prometheus)"),
-            )
-        }
+    shared.front.metrics_response(
+        req,
+        || metrics_json(shared, &stats),
+        || prometheus_extras(shared, &stats),
+    )
+}
+
+/// The series `/metrics?format=prometheus` adds to the front end's own.
+fn prometheus_extras(shared: &Shared, stats: &cache::CacheStats) -> Vec<Extra> {
+    let state = &shared.failover;
+    let mut extras = vec![
+        Extra::counter("skyline_cache_hits_total", stats.hits),
+        Extra::counter("skyline_cache_misses_total", stats.misses),
+        Extra::counter("skyline_cache_evictions_total", stats.evictions),
+        Extra::counter("skyline_cache_invalidations_total", stats.invalidations),
+        Extra::counter("skyline_cache_patched_total", stats.patched),
+        Extra::gauge("skyline_cache_entries", stats.entries as f64),
+        Extra::gauge("skyline_cache_hit_rate", cache_hit_rate(stats)),
+        Extra::gauge("skyline_datasets", shared.registry.len() as f64),
+        Extra::gauge("skyline_epoch", state.epoch() as f64),
+        Extra::counter(
+            "skyline_promotions_total",
+            state.promotions_total.load(Ordering::Relaxed),
+        ),
+        Extra::counter(
+            "skyline_demotions_total",
+            state.demotions_total.load(Ordering::Relaxed),
+        ),
+        Extra::counter(
+            "skyline_fenced_requests_total",
+            state.fenced_total.load(Ordering::Relaxed),
+        ),
+        Extra::counter(
+            "skyline_replica_applied_total",
+            state.applied_total.load(Ordering::Relaxed),
+        ),
+        Extra::counter(
+            "skyline_replica_duplicates_total",
+            state.duplicates_total.load(Ordering::Relaxed),
+        ),
+        Extra::counter(
+            "skyline_replica_resyncs_total",
+            state.resyncs_total.load(Ordering::Relaxed),
+        ),
+    ];
+    // One family at a time: the renderer writes a TYPE line per
+    // consecutive run of the same metric family.
+    let progress = state.progress_snapshot();
+    for (dataset, applied, latest) in &progress {
+        extras.push(Extra::gauge(
+            format!("skyline_replica_lag_versions{{dataset=\"{dataset}\"}}"),
+            latest.saturating_sub(*applied) as f64,
+        ));
     }
+    for (dataset, applied, _) in &progress {
+        extras.push(Extra::gauge(
+            format!("skyline_replica_applied_version{{dataset=\"{dataset}\"}}"),
+            *applied as f64,
+        ));
+    }
+    extras
+}
+
+/// The `/metrics` JSON document.
+fn metrics_json(shared: &Shared, stats: &cache::CacheStats) -> String {
+    let metrics = &shared.front.metrics;
     let mut cache_obj = ObjectWriter::new();
     cache_obj
         .u64_field("hits", stats.hits)
@@ -1138,7 +948,7 @@ fn handle_metrics(shared: &Shared, req: &Request) -> Response {
         .u64_field("patched", stats.patched)
         .u64_field("entries", stats.entries)
         .u64_field("capacity", shared.cache.capacity() as u64)
-        .f64_field("hit_rate", cache_hit_rate(&stats));
+        .f64_field("hit_rate", cache_hit_rate(stats));
     let datasets: Vec<String> = shared
         .registry
         .list()
@@ -1146,24 +956,24 @@ fn handle_metrics(shared: &Shared, req: &Request) -> Response {
         .map(dataset_info_json)
         .collect();
     let mut w = ObjectWriter::new();
-    w.u64_field("uptime_us", shared.started.elapsed().as_micros() as u64)
-        .u64_field("threads", shared.threads as u64)
-        .u64_field("requests", shared.metrics.total_requests())
-        .u64_field("shed_total", shared.metrics.shed_total())
-        .u64_field(
-            "deadline_exceeded_total",
-            shared.metrics.deadline_exceeded_total(),
-        )
-        .u64_field("panics_total", shared.metrics.panics_total())
-        .u64_field("wal_bytes", shared.registry.wal_bytes())
-        .u64_field(
-            "recovery_replayed_records",
-            shared.registry.recovery_replayed(),
-        )
-        .raw_field("endpoints", &shared.metrics.render_json())
-        .raw_field("stages", &shared.metrics.render_stages_json())
-        .raw_field("cache", &cache_obj.finish())
-        .raw_field("datasets", &format!("[{}]", datasets.join(",")));
+    w.u64_field(
+        "uptime_us",
+        shared.front.started.elapsed().as_micros() as u64,
+    )
+    .u64_field("threads", shared.front.threads as u64)
+    .u64_field("requests", metrics.total_requests())
+    .u64_field("shed_total", metrics.shed_total())
+    .u64_field("deadline_exceeded_total", metrics.deadline_exceeded_total())
+    .u64_field("panics_total", metrics.panics_total())
+    .u64_field("wal_bytes", shared.registry.wal_bytes())
+    .u64_field(
+        "recovery_replayed_records",
+        shared.registry.recovery_replayed(),
+    )
+    .raw_field("endpoints", &metrics.render_json())
+    .raw_field("stages", &metrics.render_stages_json())
+    .raw_field("cache", &cache_obj.finish())
+    .raw_field("datasets", &format!("[{}]", datasets.join(",")));
     let state = &shared.failover;
     let lag = state.lag.snapshot();
     let progress: Vec<String> = state
@@ -1208,33 +1018,7 @@ fn handle_metrics(shared: &Shared, req: &Request) -> Response {
         .u64_field("lag_p99", lag.p99())
         .raw_field("datasets", &format!("[{}]", progress.join(",")));
     w.raw_field("replication", &r.finish());
-    Response::json(200, w.finish())
-}
-
-fn parse_rows(v: &Value) -> Result<Vec<Vec<f64>>, String> {
-    let arr = v.as_arr().ok_or("\"rows\" must be an array of arrays")?;
-    arr.iter()
-        .enumerate()
-        .map(|(i, row)| {
-            let row = row
-                .as_arr()
-                .ok_or_else(|| format!("row {i} is not an array"))?;
-            row.iter()
-                .enumerate()
-                .map(|(j, val)| {
-                    val.as_f64()
-                        .ok_or_else(|| format!("row {i}, value {j} is not a number"))
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn parse_body(req: &Request) -> Result<Value, Response> {
-    let text = req
-        .body_str()
-        .map_err(|e| Response::error(400, &e.to_string()))?;
-    Value::parse(text).map_err(|e| Response::error(400, &format!("bad JSON body: {e}")))
+    w.finish()
 }
 
 /// `POST /datasets` — body: `{"name": ..., "rows": [[...], ...]}` or
@@ -1318,7 +1102,7 @@ fn apply_mutation(
         mutation.base_version,
         &mutation.delta,
     );
-    shared.emit(Event::DeltaApplied {
+    shared.front.emit(Event::DeltaApplied {
         dataset: name.to_string(),
         base_version: mutation.base_version,
         version: mutation.version,
@@ -1429,8 +1213,8 @@ struct SkylineExtras {
     /// when only rows were requested.
     masks: Option<(Vec<u64>, Vec<u64>)>,
     /// `[[f64, ...], ...]` JSON, or `None` when only masks were
-    /// requested. `{}` formatting of `f64` is shortest-round-trip, so
-    /// coordinates survive the wire exactly.
+    /// requested. [`json::rows_json`] keeps every coordinate, ±∞
+    /// included, exact across the wire.
     rows_json: Option<String>,
 }
 
@@ -1472,48 +1256,6 @@ fn skyline_json_with(
     w.finish()
 }
 
-/// Seal a `/skyline` response: mark the `respond` stage, record the
-/// per-stage histograms, attach the stage-times and trace echo headers,
-/// and drop a `StageBreakdown` into the slow-query log when the request
-/// ran longer than `--slow-ms`.
-fn finish_skyline_response(
-    shared: &Shared,
-    mut timer: StageTimer,
-    trace_id: &str,
-    resp: Response,
-) -> Response {
-    timer.mark("respond");
-    shared.metrics.record_stages(timer.stages());
-    let entries = timer.all_entries();
-    let mut resp = resp.with_header(
-        trace::STAGE_TIMES_HEADER,
-        &trace::encode_stage_times(&entries),
-    );
-    if !trace_id.is_empty() {
-        resp = resp.with_header(trace::TRACE_HEADER, trace_id);
-    }
-    let total_us = timer.stages().iter().map(|(_, us)| us).sum();
-    let breakdown = Event::StageBreakdown {
-        trace: trace_id.to_string(),
-        endpoint: "/skyline".to_string(),
-        total_us,
-        stages: entries,
-        straggler: String::new(),
-    };
-    // Every query's breakdown goes to the trace sink (that is what
-    // `skyline report --stages` aggregates); slow ones also land in the
-    // dedicated slow-query log.
-    if shared.slow_ms > 0 && total_us >= shared.slow_ms.saturating_mul(1000) {
-        shared.emit_slow(breakdown.clone());
-        if shared.slow_log.is_some() {
-            shared.emit(breakdown);
-        }
-    } else {
-        shared.emit(breakdown);
-    }
-    resp
-}
-
 /// Compute the opt-in extras for skyline `row_ids` (row indices into
 /// `target`, which is already projected when the query named `dims`).
 fn compute_extras(
@@ -1545,25 +1287,11 @@ fn compute_extras(
         }
     });
     let rows_json = include_rows.then(|| {
-        use std::fmt::Write as _;
-        let mut out = String::from("[");
-        for (i, &id) in row_ids.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            if let Some(data) = target {
-                for (j, v) in data.point(id).iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{v}");
-                }
-            }
-            out.push(']');
-        }
-        out.push(']');
-        out
+        json::rows_json(
+            row_ids
+                .iter()
+                .map(|&id| target.map_or(&[][..], |data| data.point(id))),
+        )
     });
     SkylineExtras { masks, rows_json }
 }
@@ -1601,7 +1329,7 @@ fn min_version_gate(
         if entry.wait_for_version(min_version - 1, Duration::from_millis(50)) >= min_version {
             return None;
         }
-        if Instant::now() >= deadline || shared.shutdown.load(Ordering::Acquire) {
+        if Instant::now() >= deadline || shared.front.is_shutting_down() {
             break;
         }
     }
@@ -1651,11 +1379,9 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
     let _inflight = match acquire_inflight(shared) {
         Ok(permit) => permit,
         Err(()) => {
-            return shed_response(
-                shared,
-                "/skyline",
-                "server overloaded: too many queries in flight",
-            )
+            return shared
+                .front
+                .shed("/skyline", "server overloaded: too many queries in flight")
         }
     };
     let entry = match shared.registry.get(name) {
@@ -1665,8 +1391,7 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
     let _dataset_slot = match acquire_dataset_slot(shared, name) {
         Ok(permit) => permit,
         Err(()) => {
-            return shed_response(
-                shared,
+            return shared.front.shed(
                 "/skyline",
                 &format!("dataset {name:?} overloaded: too many concurrent queries"),
             )
@@ -1782,7 +1507,7 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
     };
     let start = Instant::now();
     if let Some(hit) = shared.cache.get(&key) {
-        shared.emit(Event::CacheHit {
+        shared.front.emit(Event::CacheHit {
             dataset: name.to_string(),
             algorithm: algo.name().to_string(),
             version: snapshot.version,
@@ -1822,7 +1547,9 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
             wants_timings.then(|| timer.stages().to_vec()).as_deref(),
         );
         let resp = with_replica_lag(shared, name, Response::json(200, body));
-        return finish_skyline_response(shared, timer, &trace_id, resp);
+        return shared
+            .front
+            .finish_skyline(timer, &trace_id, String::new(), resp);
     }
     timer.mark("cache");
 
@@ -1833,8 +1560,8 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
         None => CancelToken::none(),
     };
     let deadline_response = || {
-        shared.metrics.inc_deadline_exceeded();
-        shared.emit(Event::DeadlineExceeded {
+        shared.front.metrics.inc_deadline_exceeded();
+        shared.front.emit(Event::DeadlineExceeded {
             dataset: name.to_string(),
             algorithm: algo.name().to_string(),
             deadline_ms: deadline_ms.unwrap_or(0),
@@ -1909,12 +1636,15 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
     );
     shared.cache.insert(key, CachedResult { ids, elapsed_us });
     let resp = with_replica_lag(shared, name, Response::json(200, body));
-    finish_skyline_response(shared, timer, &trace_id, resp)
+    shared
+        .front
+        .finish_skyline(timer, &trace_id, String::new(), resp)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skyline_obs::trace;
 
     fn start_test_server() -> ServerHandle {
         Server::start(ServerConfig {
@@ -2258,6 +1988,13 @@ mod tests {
         let prom = client::get(faddr, "/metrics?format=prometheus").unwrap();
         let text = prom.body_str();
         assert!(text.contains("skyline_replica_applied_total"), "{text}");
+        for family in [
+            "skyline_replica_applied_total",
+            "skyline_replica_duplicates_total",
+            "skyline_replica_resyncs_total",
+        ] {
+            assert!(text.contains(&format!("# TYPE {family} counter")), "{text}");
+        }
         assert!(
             text.contains("skyline_replica_lag_versions{dataset=\"rep\"}"),
             "{text}"
@@ -2309,6 +2046,23 @@ mod tests {
         assert!(text.contains("stage=\"compute\""));
         assert!(text.contains("le=\"+Inf\""));
         assert!(text.contains("skyline_cache_hit_rate 0.5"));
+        for family in [
+            "skyline_cache_hits_total",
+            "skyline_cache_misses_total",
+            "skyline_cache_evictions_total",
+            "skyline_cache_invalidations_total",
+            "skyline_cache_patched_total",
+            "skyline_promotions_total",
+            "skyline_demotions_total",
+            "skyline_fenced_requests_total",
+        ] {
+            assert!(text.contains(&format!("# TYPE {family} counter")), "{text}");
+        }
+        assert!(text.contains("skyline_cache_hits_total 1"), "{text}");
+        assert!(
+            text.contains("# TYPE skyline_cache_hit_rate gauge"),
+            "{text}"
+        );
 
         let bad = client::get(addr, "/metrics?format=xml").unwrap();
         assert_eq!(bad.status, 400);

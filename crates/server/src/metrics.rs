@@ -41,6 +41,37 @@ pub struct ServerMetrics {
     panics: AtomicU64,
 }
 
+/// One series a service adds to the Prometheus exposition: state the
+/// metrics struct does not own (cache, registry, replication, shard
+/// RPCs). The name may carry inline labels (`name{shard="0"}`).
+#[derive(Debug)]
+pub struct Extra {
+    name: String,
+    /// Typed `counter` when set, `gauge` otherwise.
+    counter: bool,
+    value: f64,
+}
+
+impl Extra {
+    /// A monotone count since start.
+    pub fn counter(name: impl Into<String>, value: u64) -> Extra {
+        Extra {
+            name: name.into(),
+            counter: true,
+            value: value as f64,
+        }
+    }
+
+    /// A value that can go down as well as up.
+    pub fn gauge(name: impl Into<String>, value: f64) -> Extra {
+        Extra {
+            name: name.into(),
+            counter: false,
+            value,
+        }
+    }
+}
+
 /// Look up `key` in a name-keyed map under the read lock, inserting
 /// under the write lock only on first sight of the name.
 fn intern<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, key: &str) -> Arc<T> {
@@ -181,10 +212,9 @@ impl ServerMetrics {
     }
 
     /// Render everything as the Prometheus text exposition format
-    /// (`/metrics?format=prometheus`). `extras` are appended as gauges
-    /// — the caller threads in state the metrics struct doesn't own
-    /// (cache hit rate, registry size, shard counters).
-    pub fn render_prometheus(&self, extras: &[(String, f64)]) -> String {
+    /// (`/metrics?format=prometheus`), followed by the caller's
+    /// `extras`, each family typed `counter` or `gauge` by its extra.
+    pub fn render_prometheus(&self, extras: &[Extra]) -> String {
         let mut out = String::new();
         let endpoints = self.endpoint_snapshots();
 
@@ -235,13 +265,14 @@ impl ServerMetrics {
         // Extras may carry inline labels (`name{shard="0"}`); the TYPE
         // line names the bare family, once per consecutive run.
         let mut last_family = "";
-        for (name, value) in extras {
-            let family = name.split('{').next().unwrap_or(name);
+        for extra in extras {
+            let family = extra.name.split('{').next().unwrap_or(&extra.name);
             if family != last_family {
-                let _ = writeln!(out, "# TYPE {family} gauge");
+                let kind = if extra.counter { "counter" } else { "gauge" };
+                let _ = writeln!(out, "# TYPE {family} {kind}");
                 last_family = family;
             }
-            let _ = writeln!(out, "{name} {value}");
+            let _ = writeln!(out, "{} {}", extra.name, extra.value);
         }
         out
     }
@@ -359,7 +390,10 @@ mod tests {
         m.record("GET", "/skyline", 500, 3000);
         m.record_stage("merge", 250);
         m.inc_shed();
-        let text = m.render_prometheus(&[("skyline_cache_hit_rate".to_string(), 0.75)]);
+        let text = m.render_prometheus(&[
+            Extra::gauge("skyline_cache_hit_rate", 0.75),
+            Extra::counter("skyline_cache_hits_total", 3),
+        ]);
         for needle in [
             "# TYPE skyline_requests_total counter",
             "skyline_requests_total{endpoint=\"GET /skyline\"} 2",
@@ -374,6 +408,8 @@ mod tests {
             "skyline_shed_total 1",
             "# TYPE skyline_cache_hit_rate gauge",
             "skyline_cache_hit_rate 0.75",
+            "# TYPE skyline_cache_hits_total counter",
+            "skyline_cache_hits_total 3",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }

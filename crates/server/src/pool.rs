@@ -79,7 +79,7 @@ impl Drop for Sentinel {
 
 /// Lock a mutex, recovering the data from a poisoned lock: the pool's
 /// shared state stays usable even after a worker panicked mid-hold.
-fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+pub(crate) fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 

@@ -36,7 +36,7 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use skyline_core::changelog::{ChangeOp, ChangeRecord};
 use skyline_core::delta::SkylineDelta;
@@ -208,14 +208,6 @@ impl ReplicaState {
     }
 }
 
-/// Sleep in short slices so shutdown is never delayed by a backoff.
-fn sleep_checking_shutdown(shared: &Shared, total: Duration) {
-    let deadline = Instant::now() + total;
-    while Instant::now() < deadline && !shared.shutdown.load(Ordering::Acquire) {
-        std::thread::sleep(Duration::from_millis(25).min(total));
-    }
-}
-
 /// The follower supervisor, spawned once per server regardless of the
 /// boot role. While the node is a primary it idles; while it is a
 /// follower it runs the discovery loop — poll the primary's dataset
@@ -224,15 +216,17 @@ fn sleep_checking_shutdown(shared: &Shared, total: Duration) {
 /// loop and every tailer notice, wind down, and the supervisor starts
 /// over against the new role (possibly a new primary).
 pub(crate) fn run_follower(shared: Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::Acquire) {
+    while !shared.front.is_shutting_down() {
         let state = &shared.failover;
         let Some(primary) = state.follow_target() else {
-            sleep_checking_shutdown(&shared, Duration::from_millis(100));
+            shared
+                .front
+                .sleep_checking_shutdown(Duration::from_millis(100));
             continue;
         };
         let generation = state.generation();
         let mut tails: HashMap<String, JoinHandle<()>> = HashMap::new();
-        while !shared.shutdown.load(Ordering::Acquire) && state.generation() == generation {
+        while !shared.front.is_shutting_down() && state.generation() == generation {
             if let Ok(names) = list_primary_datasets(primary) {
                 for name in names {
                     if tails.contains_key(&name) {
@@ -248,7 +242,9 @@ pub(crate) fn run_follower(shared: Arc<Shared>) {
                     }
                 }
             }
-            sleep_checking_shutdown(&shared, Duration::from_millis(250));
+            shared
+                .front
+                .sleep_checking_shutdown(Duration::from_millis(250));
         }
         for (_, handle) in tails {
             let _ = handle.join();
@@ -278,13 +274,15 @@ fn tail_dataset(shared: &Arc<Shared>, name: &str, primary: SocketAddr, generatio
     // full snapshot resync; the reason lands in the trace event.
     let mut needs_resync: Option<String> = Some("initial sync".to_string());
     let mut cursor: u64 = 0;
-    while !shared.shutdown.load(Ordering::Acquire) && state.generation() == generation {
+    while !shared.front.is_shutting_down() && state.generation() == generation {
         if let Some(reason) = needs_resync.take() {
             match resync(shared, name, primary, generation, &reason) {
                 Ok(version) => cursor = version,
                 Err(_) => {
                     needs_resync = Some(reason);
-                    sleep_checking_shutdown(shared, Duration::from_millis(200));
+                    shared
+                        .front
+                        .sleep_checking_shutdown(Duration::from_millis(200));
                     continue;
                 }
             }
@@ -308,7 +306,9 @@ fn tail_dataset(shared: &Arc<Shared>, name: &str, primary: SocketAddr, generatio
             Err(_) => {
                 // Primary unreachable (crashed, restarting): keep the
                 // cursor and reconnect-replay from it.
-                sleep_checking_shutdown(shared, Duration::from_millis(200));
+                shared
+                    .front
+                    .sleep_checking_shutdown(Duration::from_millis(200));
                 continue;
             }
         };
@@ -323,7 +323,9 @@ fn tail_dataset(shared: &Arc<Shared>, name: &str, primary: SocketAddr, generatio
                 {
                     let _ = state.demote(theirs, primary);
                 }
-                sleep_checking_shutdown(shared, Duration::from_millis(200));
+                shared
+                    .front
+                    .sleep_checking_shutdown(Duration::from_millis(200));
                 continue;
             }
             410 => {
@@ -333,12 +335,16 @@ fn tail_dataset(shared: &Arc<Shared>, name: &str, primary: SocketAddr, generatio
                 continue;
             }
             _ => {
-                sleep_checking_shutdown(shared, Duration::from_millis(200));
+                shared
+                    .front
+                    .sleep_checking_shutdown(Duration::from_millis(200));
                 continue;
             }
         }
         let Ok(body) = Value::parse(&resp.body_str()) else {
-            sleep_checking_shutdown(shared, Duration::from_millis(200));
+            shared
+                .front
+                .sleep_checking_shutdown(Duration::from_millis(200));
             continue;
         };
         let Some((records, latest)) = parse_batch(&body) else {
@@ -391,7 +397,7 @@ fn apply_batch(
         }
     }
     if applied > 0 {
-        shared.emit(Event::ReplicaApply {
+        shared.front.emit(Event::ReplicaApply {
             dataset: name.to_string(),
             version,
             records: applied,
@@ -428,7 +434,7 @@ fn resync(
         .map_err(|_| ())?;
     state.resyncs_total.fetch_add(1, Ordering::Relaxed);
     state.note(name, version, version);
-    shared.emit(Event::ReplicaResync {
+    shared.front.emit(Event::ReplicaResync {
         dataset: name.to_string(),
         version,
         reason: reason.to_string(),

@@ -32,7 +32,7 @@ use skyline_core::changelog::{ChangeOp, ChangeRecord};
 use skyline_core::metrics::Metrics;
 use skyline_core::point::PointId;
 use skyline_core::streaming::StreamingSkyline;
-use skyline_obs::json::Value;
+use skyline_obs::json::{row_json, Value};
 
 use crate::faults;
 
@@ -145,35 +145,6 @@ fn wal_file(dir: &Path, name: &str) -> PathBuf {
 
 fn snap_file(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{name}.snap"))
-}
-
-/// Format an `f64` so it round-trips through the JSON parser. Rust's
-/// shortest-representation `Display` is exact for finite values;
-/// infinities are written as overflowing literals (`parse` saturates
-/// them back to the infinity).
-fn fmt_f64(v: f64, out: &mut String) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else if v > 0.0 {
-        out.push_str("1e999");
-    } else if v < 0.0 {
-        out.push_str("-1e999");
-    } else {
-        out.push_str("null"); // NaN: rejected upstream, corrupt if seen
-    }
-}
-
-pub(crate) fn row_json(row: &[f64]) -> String {
-    let mut out = String::with_capacity(row.len() * 8 + 2);
-    out.push('[');
-    for (i, &v) in row.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        fmt_f64(v, &mut out);
-    }
-    out.push(']');
-    out
 }
 
 /// The `create` record opening every fresh log. `v` is 0: the record

@@ -168,6 +168,31 @@ fn mutations_route_and_stay_consistent() {
         .map(|&i| survivors[i as usize])
         .collect();
     assert_eq!(ids, expected, "post-mutation cluster skyline is wrong");
+
+    // Infinite coordinates are valid data: the insert must reach the
+    // shards and their rows come back exact through the merge.
+    let extreme = vec![
+        vec![f64::NEG_INFINITY, 2.0, 2.0, 2.0],
+        vec![f64::INFINITY, -1.0, 0.5, 0.5],
+    ];
+    let body = format!("{{\"rows\":{}}}", rows_json(&extreme));
+    let resp = http_client::post(coord, "/datasets/mut/points", &body).expect("insert");
+    assert_eq!(resp.status, 200, "insert of ±inf rows: {}", resp.body_str());
+    let (ids, partial, _) = query_skyline(coord, "mut");
+    assert!(!partial);
+    let survivors: Vec<u64> = survivors.into_iter().chain([300, 301]).collect();
+    let all: Vec<Vec<f64>> = all.into_iter().chain(extreme).collect();
+    let flat: Vec<f64> = survivors
+        .iter()
+        .flat_map(|&g| all[g as usize].iter().copied())
+        .collect();
+    let data = Dataset::from_flat(flat, 4).unwrap();
+    let expected: Vec<u64> = oracle_skyline(&data)
+        .iter()
+        .map(|&i| survivors[i as usize])
+        .collect();
+    assert!(expected.contains(&300) && expected.contains(&301));
+    assert_eq!(ids, expected, "cluster skyline with ±inf rows is wrong");
 }
 
 /// Killing a shard degrades the answer to the skyline of the surviving
@@ -262,161 +287,6 @@ fn projected_cluster_queries_agree() {
             .collect();
         assert_eq!(ids, expected, "projection {dims:?} disagrees");
     }
-}
-
-/// `(ids, partial, reused_shards)` from a coordinator `/skyline` body.
-fn query_with_reuse(coord: SocketAddr, name: &str) -> (Vec<u64>, bool, Vec<u64>) {
-    let resp = http_client::get(coord, &format!("/skyline?dataset={name}")).expect("query");
-    assert_eq!(resp.status, 200, "query failed: {}", resp.body_str());
-    let v = Value::parse(&resp.body_str()).expect("response JSON");
-    let ids = v
-        .get("ids")
-        .and_then(Value::as_arr)
-        .expect("ids")
-        .iter()
-        .map(|x| x.as_u64().expect("numeric id"))
-        .collect();
-    let partial = matches!(v.get("partial"), Some(Value::Bool(true)));
-    let reused = v
-        .get("reused_shards")
-        .and_then(Value::as_arr)
-        .expect("reused_shards")
-        .iter()
-        .map(|x| x.as_u64().expect("numeric shard id"))
-        .collect();
-    (ids, partial, reused)
-}
-
-/// With `shard_reuse` on, a repeated query replays every shard's cached
-/// answer, a mutation forces a re-query of exactly the shards it
-/// touched, and the merged ids match the oracle at every step.
-#[test]
-fn shard_reuse_skips_unchanged_shards_and_stays_exact() {
-    const SHARDS: usize = 3;
-    let shards: Vec<ServerHandle> = (0..SHARDS)
-        .map(|_| {
-            skyline_serve::Server::start(skyline_serve::ServerConfig {
-                threads: 2,
-                ..Default::default()
-            })
-            .expect("start shard")
-        })
-        .collect();
-    let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.local_addr()).collect();
-    let coordinator = Cluster::start(ClusterConfig {
-        threads: 4,
-        shard_reuse: true,
-        ..ClusterConfig::new(addrs)
-    })
-    .expect("start coordinator");
-    let coord = coordinator.local_addr();
-
-    let spec = skyline_data::SyntheticSpec {
-        distribution: skyline_data::Distribution::AntiCorrelated,
-        cardinality: 300,
-        dims: 4,
-        seed: 4242,
-    };
-    let data = spec.generate();
-    let mut rows: Vec<Vec<f64>> = data.iter().map(|(_, row)| row.to_vec()).collect();
-    create_dataset(coord, "reuse", &rows);
-
-    let oracle = |rows: &[Vec<f64>]| -> Vec<u64> {
-        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        let data = Dataset::from_flat(flat, 4).unwrap();
-        oracle_skyline(&data).iter().map(|&i| i as u64).collect()
-    };
-
-    // First query populates the reuse cache; the second replays it for
-    // every shard without an RPC.
-    let (first, partial, reused) = query_with_reuse(coord, "reuse");
-    assert!(!partial && reused.is_empty());
-    assert_eq!(first, oracle(&rows));
-    let (second, _, reused) = query_with_reuse(coord, "reuse");
-    assert_eq!(reused, (0..SHARDS as u64).collect::<Vec<u64>>());
-    assert_eq!(second, first, "reused answer must be byte-identical");
-
-    // One inserted row lands on exactly one shard: the next query must
-    // reuse the other two and still agree with the full oracle.
-    let global = rows.len() as u64;
-    let touched = shard_of(global, SHARDS) as u64;
-    let new_row = vec![0.01, 0.01, 0.01, 0.01];
-    let body = format!("{{\"rows\":{}}}", rows_json(std::slice::from_ref(&new_row)));
-    let resp = http_client::post(coord, "/datasets/reuse/points", &body).expect("insert");
-    assert_eq!(resp.status, 200, "insert failed: {}", resp.body_str());
-    rows.push(new_row);
-
-    let (ids, _, reused) = query_with_reuse(coord, "reuse");
-    let expected_reuse: Vec<u64> = (0..SHARDS as u64).filter(|&s| s != touched).collect();
-    assert_eq!(
-        reused, expected_reuse,
-        "only the untouched shards may be reused after the insert"
-    );
-    assert_eq!(ids, oracle(&rows), "post-insert reuse answer is wrong");
-
-    // A removal routed to one shard likewise invalidates only it.
-    let resp = http_client::request(
-        coord,
-        "DELETE",
-        "/datasets/reuse/points",
-        format!("{{\"ids\":[{global}]}}").as_bytes(),
-    )
-    .expect("remove");
-    assert_eq!(resp.status, 200, "remove failed: {}", resp.body_str());
-    rows.pop();
-    let (ids, _, reused) = query_with_reuse(coord, "reuse");
-    assert_eq!(reused, expected_reuse);
-    assert_eq!(ids, oracle(&rows), "post-remove reuse answer is wrong");
-}
-
-/// Reuse trades freshness of *liveness* for latency: a dead shard whose
-/// cached answer is still current is served silently. That is exactly
-/// why `shard_reuse` defaults to off — pin both halves.
-#[test]
-fn shard_reuse_is_off_by_default_and_masks_dead_shards_when_on() {
-    // Default config: repeated queries never report reused shards.
-    let (_shards, coordinator) = start_cluster(2);
-    let coord = coordinator.local_addr();
-    create_dataset(coord, "plain", &[vec![1.0, 2.0], vec![2.0, 1.0]]);
-    let (_, _, reused) = query_with_reuse(coord, "plain");
-    assert!(reused.is_empty());
-    let (_, _, reused) = query_with_reuse(coord, "plain");
-    assert!(reused.is_empty(), "reuse must be opt-in");
-    drop(coordinator);
-
-    // Opt-in config: a killed shard's cached answer keeps the query
-    // whole (not partial) as long as its version has not moved.
-    let mut shards: Vec<ServerHandle> = (0..2)
-        .map(|_| {
-            skyline_serve::Server::start(skyline_serve::ServerConfig {
-                threads: 2,
-                ..Default::default()
-            })
-            .expect("start shard")
-        })
-        .collect();
-    let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.local_addr()).collect();
-    let coordinator = Cluster::start(ClusterConfig {
-        threads: 4,
-        shard_reuse: true,
-        ..ClusterConfig::new(addrs)
-    })
-    .expect("start coordinator");
-    let coord = coordinator.local_addr();
-    create_dataset(
-        coord,
-        "masked",
-        &[vec![1.0, 2.0], vec![2.0, 1.0], vec![3.0, 3.0]],
-    );
-    let (full, partial, _) = query_with_reuse(coord, "masked");
-    assert!(!partial);
-
-    shards[0].shutdown();
-    shards[1].shutdown();
-    let (ids, partial, reused) = query_with_reuse(coord, "masked");
-    assert!(!partial, "cached answers mask the dead shards entirely");
-    assert_eq!(reused, vec![0, 1]);
-    assert_eq!(ids, full);
 }
 
 /// Cluster-level request validation: k-skyband and the shard-protocol
@@ -521,6 +391,23 @@ fn replica_reads_agree_with_the_oracle() {
         replica_served,
         "no read was ever answered by a caught-up replica"
     );
+
+    // The Prometheus exposition types every monotone count as a counter.
+    let prom = http_client::get(coord, "/metrics?format=prometheus")
+        .unwrap()
+        .body_str();
+    for family in [
+        "skyline_shard_rpc_requests",
+        "skyline_shard_rpc_errors",
+        "skyline_shard_rpc_attempts",
+        "skyline_shard_rpc_total_us",
+        "skyline_replica_read_requests_total",
+        "skyline_replica_read_fallbacks_total",
+        "skyline_promotions_total",
+    ] {
+        assert!(prom.contains(&format!("# TYPE {family} counter")), "{prom}");
+    }
+    assert!(prom.contains("# TYPE skyline_shard_epoch gauge"), "{prom}");
 }
 
 /// A dead replica never hurts correctness: each attempt is counted as

@@ -19,18 +19,11 @@ pub fn start_server() -> skyline_serve::ServerHandle {
     .expect("start test server")
 }
 
-/// Render rows as the JSON array-of-arrays the server expects.
-/// `f64::to_string` round-trips exactly, so the server sees the same
-/// values the test computes with locally.
+/// Render rows as the JSON array-of-arrays the server expects, with the
+/// encoder the services use: values round-trip exactly (±∞ included),
+/// so the server sees the same values the test computes with locally.
 pub fn rows_json(rows: &[Vec<f64>]) -> String {
-    let rendered: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let vals: Vec<String> = r.iter().map(f64::to_string).collect();
-            format!("[{}]", vals.join(","))
-        })
-        .collect();
-    format!("[{}]", rendered.join(","))
+    skyline_obs::json::rows_json(rows.iter().map(Vec::as_slice))
 }
 
 /// Parse a `/skyline` response body into `(version, cached, ids)`.

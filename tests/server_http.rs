@@ -485,108 +485,120 @@ fn restart_recovers_datasets_from_the_data_dir() {
 /// coordinates the cluster coordinator consumes.
 #[test]
 fn skyline_extras_are_opt_in_and_exact() {
-    let rows = workload_rows();
-    let data = Dataset::from_rows(&rows).unwrap();
-    let server = start_server();
-    let addr = server.local_addr();
-    let created = client::post(
-        addr,
-        "/datasets",
-        &format!("{{\"name\": \"x\", \"rows\": {}}}", rows_json(&rows)),
-    )
-    .unwrap();
-    assert_eq!(created.status, 201, "{}", created.body_str());
+    // ±∞ are valid coordinates: `rows` must stay JSON and exact.
+    let mut with_infinities = workload_rows();
+    with_infinities.push(vec![f64::NEG_INFINITY, 2.0, 2.0, 2.0, 2.0]);
+    with_infinities.push(vec![f64::INFINITY, -1.0, 0.5, 0.5, 0.5]);
+    for rows in [workload_rows(), with_infinities] {
+        let data = Dataset::from_rows(&rows).unwrap();
+        let server = start_server();
+        let addr = server.local_addr();
+        let created = client::post(
+            addr,
+            "/datasets",
+            &format!("{{\"name\": \"x\", \"rows\": {}}}", rows_json(&rows)),
+        )
+        .unwrap();
+        assert_eq!(created.status, 201, "{}", created.body_str());
 
-    // Default and explicit-zero responses carry no extras.
-    for query in ["", "&include_masks=0&include_rows=0"] {
-        let resp = client::get(addr, &format!("/skyline?dataset=x{query}")).unwrap();
-        assert_eq!(resp.status, 200);
-        let v = Value::parse(&resp.body_str()).unwrap();
-        assert!(v.get("masks").is_none(), "masks must be opt-in");
-        assert!(v.get("elites").is_none());
-        assert!(v.get("rows").is_none());
-    }
+        // Default and explicit-zero responses carry no extras.
+        for query in ["", "&include_masks=0&include_rows=0"] {
+            let resp = client::get(addr, &format!("/skyline?dataset=x{query}")).unwrap();
+            assert_eq!(resp.status, 200);
+            let v = Value::parse(&resp.body_str()).unwrap();
+            assert!(v.get("masks").is_none(), "masks must be opt-in");
+            assert!(v.get("elites").is_none());
+            assert!(v.get("rows").is_none());
+        }
 
-    // Twice: the second request is a cache hit, and extras must be
-    // recomputed identically for it.
-    let mut bodies = Vec::new();
-    for _ in 0..2 {
-        let resp = client::get(addr, "/skyline?dataset=x&include_masks=1&include_rows=1").unwrap();
-        assert_eq!(resp.status, 200, "{}", resp.body_str());
-        bodies.push(resp.body_str());
-    }
-    let first = Value::parse(&bodies[0]).unwrap();
-    let second = Value::parse(&bodies[1]).unwrap();
-    assert_eq!(
-        second.get("cached").map(|v| matches!(v, Value::Bool(true))),
-        Some(true),
-        "{}",
-        bodies[1]
-    );
-
-    for v in [&first, &second] {
-        let ids: Vec<u32> = v
-            .get("ids")
-            .and_then(Value::as_arr)
-            .unwrap()
-            .iter()
-            .map(|x| x.as_u64().unwrap() as u32)
-            .collect();
-        let masks: Vec<u64> = v
-            .get("masks")
-            .and_then(Value::as_arr)
-            .expect("masks requested")
-            .iter()
-            .map(|x| x.as_u64().unwrap())
-            .collect();
-        let elites: Vec<usize> = v
-            .get("elites")
-            .and_then(Value::as_arr)
-            .expect("elites requested")
-            .iter()
-            .map(|x| x.as_u64().unwrap() as usize)
-            .collect();
-        assert_eq!(masks.len(), ids.len(), "masks parallel to ids");
-        assert!(
-            elites.iter().all(|&e| e < ids.len()),
-            "elite positions in range"
+        // Twice: the second request is a cache hit, and extras must be
+        // recomputed identically for it.
+        let mut bodies = Vec::new();
+        for _ in 0..2 {
+            let resp =
+                client::get(addr, "/skyline?dataset=x&include_masks=1&include_rows=1").unwrap();
+            assert_eq!(resp.status, 200, "{}", resp.body_str());
+            bodies.push(resp.body_str());
+        }
+        let first = Value::parse(&bodies[0]).unwrap();
+        let second = Value::parse(&bodies[1]).unwrap();
+        assert_eq!(
+            second.get("cached").map(|v| matches!(v, Value::Bool(true))),
+            Some(true),
+            "{}",
+            bodies[1]
         );
 
-        // The server must agree with a local run of the same helpers
-        // (handles are 0..n, so ids are row indices).
-        let elite_ids = skyline_core::shard_merge::select_reference_elites(&data, &ids);
-        let expected_masks: Vec<u64> =
-            skyline_core::shard_merge::reference_masks(&data, &ids, &elite_ids)
-                .iter()
-                .map(|s| s.bits())
-                .collect();
-        assert_eq!(masks, expected_masks, "masks match the library helpers");
-        let expected_elites: Vec<usize> = elite_ids
-            .iter()
-            .map(|e| ids.iter().position(|x| x == e).unwrap())
-            .collect();
-        assert_eq!(elites, expected_elites);
-
-        // Rows round-trip the exact coordinates.
-        let resp_rows = v
-            .get("rows")
-            .and_then(Value::as_arr)
-            .expect("rows requested");
-        assert_eq!(resp_rows.len(), ids.len());
-        for (arr, &id) in resp_rows.iter().zip(&ids) {
-            let got: Vec<f64> = arr
-                .as_arr()
+        for v in [&first, &second] {
+            let ids: Vec<u32> = v
+                .get("ids")
+                .and_then(Value::as_arr)
                 .unwrap()
                 .iter()
-                .map(|x| x.as_f64().unwrap())
+                .map(|x| x.as_u64().unwrap() as u32)
                 .collect();
-            assert_eq!(got.as_slice(), data.point(id), "row {id} must be exact");
-        }
-    }
+            let masks: Vec<u64> = v
+                .get("masks")
+                .and_then(Value::as_arr)
+                .expect("masks requested")
+                .iter()
+                .map(|x| x.as_u64().unwrap())
+                .collect();
+            let elites: Vec<usize> = v
+                .get("elites")
+                .and_then(Value::as_arr)
+                .expect("elites requested")
+                .iter()
+                .map(|x| x.as_u64().unwrap() as usize)
+                .collect();
+            assert_eq!(masks.len(), ids.len(), "masks parallel to ids");
+            assert!(
+                elites.iter().all(|&e| e < ids.len()),
+                "elite positions in range"
+            );
+            for extreme in 400..rows.len() as u32 {
+                assert!(
+                    ids.contains(&extreme),
+                    "±inf row {extreme} is a skyline point"
+                );
+            }
 
-    // Masks are skyline-only (k=1) and the flag is strictly 0/1.
-    let resp = client::get(addr, "/skyline?dataset=x&include_masks=1&k=2").unwrap();
-    assert_eq!(resp.status, 400, "{}", resp.body_str());
-    let resp = client::get(addr, "/skyline?dataset=x&include_masks=yes").unwrap();
-    assert_eq!(resp.status, 400);
+            // The server must agree with a local run of the same helpers
+            // (handles are 0..n, so ids are row indices).
+            let elite_ids = skyline_core::shard_merge::select_reference_elites(&data, &ids);
+            let expected_masks: Vec<u64> =
+                skyline_core::shard_merge::reference_masks(&data, &ids, &elite_ids)
+                    .iter()
+                    .map(|s| s.bits())
+                    .collect();
+            assert_eq!(masks, expected_masks, "masks match the library helpers");
+            let expected_elites: Vec<usize> = elite_ids
+                .iter()
+                .map(|e| ids.iter().position(|x| x == e).unwrap())
+                .collect();
+            assert_eq!(elites, expected_elites);
+
+            // Rows round-trip the exact coordinates.
+            let resp_rows = v
+                .get("rows")
+                .and_then(Value::as_arr)
+                .expect("rows requested");
+            assert_eq!(resp_rows.len(), ids.len());
+            for (arr, &id) in resp_rows.iter().zip(&ids) {
+                let got: Vec<f64> = arr
+                    .as_arr()
+                    .unwrap()
+                    .iter()
+                    .map(|x| x.as_f64().unwrap())
+                    .collect();
+                assert_eq!(got.as_slice(), data.point(id), "row {id} must be exact");
+            }
+        }
+
+        // Masks are skyline-only (k=1) and the flag is strictly 0/1.
+        let resp = client::get(addr, "/skyline?dataset=x&include_masks=1&k=2").unwrap();
+        assert_eq!(resp.status, 400, "{}", resp.body_str());
+        let resp = client::get(addr, "/skyline?dataset=x&include_masks=yes").unwrap();
+        assert_eq!(resp.status, 400);
+    }
 }
