@@ -33,6 +33,9 @@ if [[ "$quick" != "quick" ]]; then
 
     echo "==> cargo clippy --all-targets -- -D warnings"
     cargo clippy --all-targets --quiet -- -D warnings
+
+    echo "==> cargo doc (rustdoc warnings are errors)"
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 fi
 
 echo "==> cargo build --release"

@@ -261,7 +261,8 @@ impl<A: SkylineAlgorithm + Sync> ParallelBoosted<A> {
     /// [`ParallelBoosted::compute_detailed`] with cooperative
     /// cancellation: every shard worker runs the wrapped algorithm's
     /// cancellable entry point against the shared token, and the
-    /// cross-shard merge checks it every [`CHECK_STRIDE`] candidates.
+    /// cross-shard merge checks it every
+    /// [`CHECK_STRIDE`](skyline_core::cancel::CHECK_STRIDE) candidates.
     pub fn compute_detailed_cancel(
         &self,
         data: &Dataset,

@@ -3,11 +3,12 @@
 //! ```text
 //! skyline compute  <input.csv> [--algo NAME] [--sigma N] [--threads T]
 //!                  [--prefs MIN,MAX,...] [--skyband K] [--rows] [--trace out.jsonl]
-//! skyline bench    <input.csv> [--sigma N] [--threads T] [--trace out.jsonl]
+//! skyline bench    <input.csv> [--sigma N] [--threads T] [--prefs MIN,MAX,...]
+//!                  [--trace out.jsonl]
 //! skyline report   <trace.jsonl> [--stages]
 //! skyline generate --dist UI|CO|AC -n N -d D [--seed S] [-o out.csv]
-//! skyline stats    <input.csv>
-//! skyline tune     <input.csv> [--sample N]
+//! skyline stats    <input.csv> [--prefs MIN,MAX,...]
+//! skyline tune     <input.csv> [--sample N] [--prefs MIN,MAX,...]
 //! skyline serve    [--port P] [--bind ADDR] [--threads T] [--cache N] [--trace out.jsonl]
 //!                  [--data-dir DIR] [--fsync always|never|interval[=MS]] [--max-inflight N]
 //!                  [--slow-ms MS] [--slow-log out.jsonl] [--follow ADDR]
@@ -19,6 +20,10 @@
 //!                  [--failover] [--probe-ms MS] [--suspect-misses N]
 //! skyline algorithms
 //! ```
+//!
+//! Each subcommand takes exactly the flags its usage line lists; any
+//! other flag is an error (exit 1 with the usage), so a misspelt flag
+//! never silently falls back to a default.
 //!
 //! Parallel engines: `--threads T` switches `compute` to the multi-core
 //! partition-merge engine wrapping the selected algorithm (`--threads 0`
@@ -79,11 +84,12 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   skyline compute  <input.csv> [--algo NAME] [--sigma N] [--threads T]
                    [--prefs MIN,MAX,...] [--skyband K] [--rows] [--trace out.jsonl]
-  skyline bench    <input.csv> [--sigma N] [--threads T] [--trace out.jsonl]
+  skyline bench    <input.csv> [--sigma N] [--threads T] [--prefs MIN,MAX,...]
+                   [--trace out.jsonl]
   skyline report   <trace.jsonl> [--stages]
   skyline generate --dist UI|CO|AC -n N -d D [--seed S] [-o out.csv]
-  skyline stats    <input.csv>
-  skyline tune     <input.csv> [--sample N]
+  skyline stats    <input.csv> [--prefs MIN,MAX,...]
+  skyline tune     <input.csv> [--sample N] [--prefs MIN,MAX,...]
   skyline serve    [--port P] [--bind ADDR] [--threads T] [--cache N] [--trace out.jsonl]
                    [--data-dir DIR] [--fsync always|never|interval[=MS]] [--max-inflight N]
                    [--slow-ms MS] [--slow-log out.jsonl] [--follow ADDR]
@@ -124,29 +130,65 @@ fn pipe_ok(r: std::io::Result<()>) -> Result<(), String> {
     }
 }
 
+/// The flags `command` accepts, read off its lines in [`USAGE`] so the
+/// usage text and the parser cannot drift: `(flag, takes_value)`, where
+/// a flag written `[--flag]` is a switch and any other flag takes the
+/// next argument as its value.
+fn usage_flags(command: &str) -> Vec<(&'static str, bool)> {
+    let mut lines = USAGE
+        .lines()
+        .skip_while(|l| l.split_whitespace().nth(1) != Some(command));
+    let first = lines.next().into_iter();
+    let continued = lines.take_while(|l| l.starts_with("    "));
+    first
+        .chain(continued)
+        .flat_map(str::split_whitespace)
+        .map(|token| token.trim_start_matches(['[', '(']))
+        .filter(|token| token.starts_with('-'))
+        .map(|token| (token.trim_end_matches([']', ')']), !token.ends_with(']')))
+        .collect()
+}
+
 fn run(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        Some("compute") => compute(&args[1..]),
-        Some("bench") => bench(&args[1..]),
-        Some("report") => report(&args[1..]),
-        Some("generate") => generate(&args[1..]),
-        Some("stats") => stats(&args[1..]),
-        Some("tune") => tune(&args[1..]),
-        Some("serve") => serve(&args[1..]),
-        Some("cluster") => cluster(&args[1..]),
-        Some("algorithms") => {
-            let stdout = std::io::stdout();
-            let mut out = stdout.lock();
-            for algo in all_algorithms() {
-                if !write_line(&mut out, format_args!("{}", algo.name()))? {
-                    break;
-                }
+    let name = args.first().ok_or("missing command")?;
+    let handler: fn(&[String]) -> Result<(), String> = match name.as_str() {
+        "compute" => compute,
+        "bench" => bench,
+        "report" => report,
+        "generate" => generate,
+        "stats" => stats,
+        "tune" => tune,
+        "serve" => serve,
+        "cluster" => cluster,
+        "algorithms" => algorithms,
+        other => return Err(format!("unknown command {other:?}")),
+    };
+    let flags = usage_flags(name);
+    let mut rest = args[1..].iter();
+    while let Some(arg) = rest.next() {
+        match flags.iter().find(|(flag, _)| flag == arg) {
+            Some((_, true)) => {
+                rest.next(); // the flag's value, whatever it looks like
             }
-            Ok(())
+            Some((_, false)) => {}
+            None if arg.starts_with('-') => {
+                return Err(format!("unknown flag {arg:?} for `skyline {name}`"))
+            }
+            None => {}
         }
-        Some(other) => Err(format!("unknown command {other:?}")),
-        None => Err("missing command".to_string()),
     }
+    handler(&args[1..])
+}
+
+fn algorithms(_args: &[String]) -> Result<(), String> {
+    let stdout = std::io::stdout();
+    let mut out = stdout.lock();
+    for algo in all_algorithms() {
+        if !write_line(&mut out, format_args!("{}", algo.name()))? {
+            break;
+        }
+    }
+    Ok(())
 }
 
 /// Pull the value following a flag out of the argument list.

@@ -74,3 +74,53 @@ fn unknown_command_fails() {
     let out = bin().arg("frobnicate").output().expect("run skyline");
     assert!(!out.status.success());
 }
+
+/// Run `args` to completion, or kill it and fail if it is still running
+/// after 10 s (a server that started despite a bad flag never exits).
+fn run_bounded(args: &[&str]) -> std::process::Output {
+    use std::process::Stdio;
+    let mut child = bin()
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run skyline");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while child.try_wait().expect("poll skyline").is_none() {
+        if std::time::Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("{args:?} was still running after 10 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect output")
+}
+
+/// A misspelt flag must not fall back to a default in silence: it exits
+/// 1 with the usage and names the flag.
+#[test]
+fn unknown_flags_fail_with_the_usage() {
+    for (args, flag) in [
+        (
+            &["serve", "--port", "0", "--treads", "3", "--shard-reuse"][..],
+            "--treads",
+        ),
+        (
+            &[
+                "generate", "--dist", "UI", "-n", "5", "-d", "2", "--sed", "9",
+            ][..],
+            "--sed",
+        ),
+    ] {
+        let out = run_bounded(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}; stderr: {stderr}");
+        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+        assert!(
+            stderr.contains("usage:"),
+            "{args:?} prints the usage: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} produced output");
+    }
+}

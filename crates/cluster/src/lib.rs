@@ -38,7 +38,8 @@
 //!
 //! The HTTP front end (accept thread, keep-alive connections, running
 //! handle, trace sinks) is the shard server's own
-//! [`skyline_serve::service`].
+//! [`skyline_serve::service`], and requests are parsed by the shard
+//! server's [`skyline_serve::api`], so both refuse a bad request alike.
 
 pub mod manifest;
 pub mod shard_map;
@@ -55,16 +56,16 @@ use skyline_core::cancel::{CancelToken, Cancelled};
 use skyline_core::metrics::Metrics;
 use skyline_core::shard_merge::{merge_shard_skylines, EliteRef, MergeEntry};
 use skyline_core::subspace::Subspace;
-use skyline_data::{Distribution, SyntheticSpec};
 use skyline_obs::json::{self, ObjectWriter, Value};
 use skyline_obs::trace::{self, StageTimer, TraceContext};
 use skyline_obs::{Event, NoopRecorder};
+use skyline_serve::api::{self, NewDataset, SkylineHead, SkylineQuery};
 use skyline_serve::client::{
     request_with_retry_timed, request_with_timeout, ClientResponse, RequestTiming, RetryPolicy,
 };
 use skyline_serve::http::{self, Request, Response};
 use skyline_serve::metrics::Extra;
-use skyline_serve::service::{self, parse_body, parse_rows, FrontConfig, FrontEnd, Service};
+use skyline_serve::service::{self, FrontConfig, FrontEnd, Service};
 
 use manifest::Manifest;
 use shard_map::{shard_of, DatasetState};
@@ -375,16 +376,22 @@ fn route(shared: &Shared, req: &Request) -> (Response, &'static str) {
         let response = match req.method.as_str() {
             "POST" => handle_insert(shared, name, req),
             "DELETE" => handle_remove(shared, name, req),
-            _ => Response::error(405, "points supports POST and DELETE"),
+            _ => Err(Response::error(405, "points supports POST and DELETE")),
         };
-        return (response, endpoint);
+        return (response.unwrap_or_else(|refusal| refusal), endpoint);
     }
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => (handle_healthz(shared), "/healthz"),
         ("GET", "/metrics") => (handle_metrics(shared, req), "/metrics"),
-        ("GET", "/skyline") => (handle_skyline(shared, req), "/skyline"),
+        ("GET", "/skyline") => (
+            handle_skyline(shared, req).unwrap_or_else(|refusal| refusal),
+            "/skyline",
+        ),
         ("GET", "/datasets") => (handle_list(shared), "/datasets"),
-        ("POST", "/datasets") => (handle_create(shared, req), "/datasets"),
+        ("POST", "/datasets") => (
+            handle_create(shared, req).unwrap_or_else(|refusal| refusal),
+            "/datasets",
+        ),
         ("POST", "/shutdown") => (shared.front.handle_shutdown(), "/shutdown"),
         (_, "/healthz" | "/metrics" | "/skyline" | "/datasets" | "/shutdown") => (
             Response::error(405, "method not allowed on this endpoint"),
@@ -1009,67 +1016,21 @@ fn fan_out_insert(
 /// `POST /datasets` — same body as a shard (`{"name", "rows"}` or
 /// `{"name", "synthetic"}`); the coordinator assigns global ids,
 /// partitions the rows by [`shard_of`], and fans the creation out.
-fn handle_create(shared: &Shared, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let Some(name) = body.get("name").and_then(Value::as_str) else {
-        return Response::error(400, "missing string field \"name\"");
-    };
-    let (rows, dims) = if let Some(synth) = body.get("synthetic") {
-        let tag = synth
-            .get("distribution")
-            .and_then(Value::as_str)
-            .unwrap_or("UI");
-        let Some(distribution) = Distribution::from_tag(tag) else {
-            return Response::error(400, &format!("unknown distribution {tag:?} (UI, CO, AC)"));
-        };
-        let Some(n) = synth.get("n").and_then(Value::as_u64) else {
-            return Response::error(400, "synthetic spec needs numeric \"n\"");
-        };
-        let Some(dims) = synth.get("dims").and_then(Value::as_u64) else {
-            return Response::error(400, "synthetic spec needs numeric \"dims\"");
-        };
-        let seed = synth.get("seed").and_then(Value::as_u64).unwrap_or(42);
-        let spec = SyntheticSpec {
-            distribution,
-            cardinality: n as usize,
-            dims: dims as usize,
-            seed,
-        };
-        let data = spec.generate();
-        let rows: Vec<Vec<f64>> = data.iter().map(|(_, row)| row.to_vec()).collect();
-        (rows, data.dims())
-    } else if let Some(rows_value) = body.get("rows") {
-        let rows = match parse_rows(rows_value) {
-            Ok(rows) => rows,
-            Err(msg) => return Response::error(400, &msg),
-        };
-        let dims = match (rows.first(), body.get("dims").and_then(Value::as_u64)) {
-            (Some(first), _) => first.len(),
-            (None, Some(dims)) => dims as usize,
-            (None, None) => {
-                return Response::error(400, "empty \"rows\" needs explicit \"dims\"");
-            }
-        };
-        (rows, dims)
-    } else {
-        return Response::error(400, "body needs either \"rows\" or \"synthetic\"");
-    };
-    if dims == 0 || dims > 64 {
-        return Response::error(400, "dims must be between 1 and 64");
-    }
-    if rows.iter().any(|r| r.len() != dims) {
-        return Response::error(400, "every row must have the same dimensionality");
-    }
+fn handle_create(shared: &Shared, req: &Request) -> Result<Response, Response> {
+    let new = NewDataset::parse(req, shared.front.max_body)?;
+    new.check_shape()?;
+    let NewDataset { name, dims, rows } = new;
+    let name = name.as_str();
 
     // The registry lock is held across the fan-out: creation is an
     // admin operation, and serialising mutations keeps the manifest a
     // simple linear history.
     let mut datasets = shared.datasets.lock().unwrap_or_else(|e| e.into_inner());
     if datasets.contains_key(name) {
-        return Response::error(409, &format!("dataset {name:?} already exists"));
+        return Err(Response::error(
+            409,
+            &format!("dataset {name:?} already exists"),
+        ));
     }
     let shard_count = shared.shard_count;
 
@@ -1094,17 +1055,20 @@ fn handle_create(shared: &Shared, req: &Request) -> Response {
         match outcome {
             Ok(resp) if resp.status == 201 => {}
             Ok(resp) => {
-                return Response::error(
+                return Err(Response::error(
                     502,
                     &format!(
                         "shard {s} refused creation with {}: {}",
                         resp.status,
                         resp.body_str()
                     ),
-                )
+                ))
             }
             Err(e) => {
-                return Response::error(502, &format!("shard {s} unreachable during creation: {e}"))
+                return Err(Response::error(
+                    502,
+                    &format!("shard {s} unreachable during creation: {e}"),
+                ))
             }
         }
     }
@@ -1113,7 +1077,7 @@ fn handle_create(shared: &Shared, req: &Request) -> Response {
     if let Some(m) = &shared.manifest {
         let mut m = m.lock().unwrap_or_else(|e| e.into_inner());
         if let Err(e) = m.append_create(name, dims, shard_count) {
-            return Response::error(500, &format!("manifest write failed: {e}"));
+            return Err(Response::error(500, &format!("manifest write failed: {e}")));
         }
     }
     let groups = partition_rows(&rows, 0, shard_count);
@@ -1122,16 +1086,14 @@ fn handle_create(shared: &Shared, req: &Request) -> Response {
     let points = state.live;
     let version = state.version;
     datasets.insert(name.to_string(), state);
-    if let Err(resp) = outcome {
-        return resp;
-    }
+    outcome?;
     let mut w = ObjectWriter::new();
     w.str_field("name", name)
         .u64_field("dims", dims as u64)
         .u64_field("points", points as u64)
         .u64_field("version", version)
         .u64_field("shards", shard_count as u64);
-    Response::json(201, w.finish())
+    Ok(Response::json(201, w.finish()))
 }
 
 /// JSON string literal for `s` (names come back out of `ObjectWriter`
@@ -1146,24 +1108,15 @@ fn quoted(s: &str) -> String {
 
 /// `POST /datasets/{name}/points` — body `{"rows": [[...], ...]}`;
 /// rows get fresh global ids and are routed to their owning shards.
-fn handle_insert(shared: &Shared, name: &str, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let Some(rows_value) = body.get("rows") else {
-        return Response::error(400, "body needs \"rows\"");
-    };
-    let rows = match parse_rows(rows_value) {
-        Ok(rows) => rows,
-        Err(msg) => return Response::error(400, &msg),
-    };
+fn handle_insert(shared: &Shared, name: &str, req: &Request) -> Result<Response, Response> {
+    let rows = api::insert_rows(req)?;
     let mut datasets = shared.datasets.lock().unwrap_or_else(|e| e.into_inner());
-    let Some(state) = datasets.get_mut(name) else {
-        return Response::error(404, &format!("no dataset {name:?}"));
-    };
+    let state = datasets.get_mut(name).ok_or_else(|| no_dataset(name))?;
     if rows.iter().any(|r| r.len() != state.dims) {
-        return Response::error(400, &format!("rows must have {} values each", state.dims));
+        return Err(Response::error(
+            400,
+            &format!("rows must have {} values each", state.dims),
+        ));
     }
     let first_global = state.next_global;
     // Ids are burned even if a shard later fails: holes are fine,
@@ -1173,38 +1126,26 @@ fn handle_insert(shared: &Shared, name: &str, req: &Request) -> Response {
     let groups = partition_rows(&rows, first_global, shared.shard_count);
     let outcome = fan_out_insert(shared, name, state, &groups, version);
     state.version = version;
-    if let Err(resp) = outcome {
-        return resp;
-    }
+    outcome?;
     let globals: Vec<u64> = (first_global..first_global + rows.len() as u64).collect();
     let mut w = ObjectWriter::new();
     w.u64_field("inserted", rows.len() as u64)
         .u64_array_field("ids", &globals)
         .u64_field("version", version);
-    Response::json(200, w.finish())
+    Ok(Response::json(200, w.finish()))
+}
+
+/// The 404 for a dataset the coordinator's registry does not hold.
+fn no_dataset(name: &str) -> Response {
+    Response::error(404, &format!("no dataset {name:?}"))
 }
 
 /// `DELETE /datasets/{name}/points` — body `{"ids": [...]}` with
 /// *global* ids; the registry maps them to shard-local handles.
-fn handle_remove(shared: &Shared, name: &str, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let Some(ids_value) = body.get("ids").and_then(Value::as_arr) else {
-        return Response::error(400, "body needs an \"ids\" array");
-    };
-    let mut globals = Vec::with_capacity(ids_value.len());
-    for (i, v) in ids_value.iter().enumerate() {
-        match v.as_u64() {
-            Some(id) => globals.push(id),
-            None => return Response::error(400, &format!("ids[{i}] is not a point id")),
-        }
-    }
+fn handle_remove(shared: &Shared, name: &str, req: &Request) -> Result<Response, Response> {
+    let globals = api::remove_ids(req, u64::MAX)?;
     let mut datasets = shared.datasets.lock().unwrap_or_else(|e| e.into_inner());
-    let Some(state) = datasets.get_mut(name) else {
-        return Response::error(404, &format!("no dataset {name:?}"));
-    };
+    let state = datasets.get_mut(name).ok_or_else(|| no_dataset(name))?;
     // Resolve before mutating: only ids the owning shard acknowledges
     // deleting leave the registry.
     let shard_count = shared.shard_count;
@@ -1262,18 +1203,18 @@ fn handle_remove(shared: &Shared, name: &str, req: &Request) -> Response {
         }
     }
     if !failures.is_empty() {
-        return Response::error(
+        return Err(Response::error(
             502,
             &format!(
                 "remove from {name:?} partially failed ({}); {removed} ids were removed",
                 failures.join("; ")
             ),
-        );
+        ));
     }
     let mut w = ObjectWriter::new();
     w.u64_field("removed", removed as u64)
         .u64_field("version", state.version);
-    Response::json(200, w.finish())
+    Ok(Response::json(200, w.finish()))
 }
 
 /// One shard's parsed `/skyline` answer (with masks, elites, rows).
@@ -1357,7 +1298,7 @@ fn parse_shard_skyline(body: &str, dims: usize) -> Result<ShardSkyline, String> 
 /// scatter-gather over the shards plus the elite-referenced cross-shard
 /// merge. Responds `"partial": true` with a `missing_shards` list when
 /// shards stayed unreachable after retries.
-fn handle_skyline(shared: &Shared, req: &Request) -> Response {
+fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response, Response> {
     let overall = Instant::now();
     let mut timer = StageTimer::start();
     // The coordinator roots the trace: inherit the caller's trace id
@@ -1370,52 +1311,23 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
         Some(t) => TraceContext::child_of(t).expect("validated id"),
         None => TraceContext::mint(),
     };
-    let wants_timings = req.query_param("timings") == Some("1");
-    let Some(name) = req.query_param("dataset") else {
-        return Response::error(400, "missing query parameter \"dataset\"");
-    };
-    let deadline_ms: Option<u64> = match req.query_param("deadline_ms") {
-        None | Some("") => None,
-        Some(raw) => match raw.parse() {
-            Ok(ms) if ms > 0 => Some(ms),
-            _ => {
-                return Response::error(
-                    400,
-                    &format!("bad \"deadline_ms\" value {raw:?} (positive integer)"),
-                )
-            }
-        },
-    };
-    let budget = deadline_ms.map(Duration::from_millis);
-    let threads: u64 = match req.query_param("threads") {
-        None | Some("") => 0,
-        Some(raw) => match raw.parse() {
-            Ok(n) => n,
-            Err(_) => return Response::error(400, &format!("bad \"threads\" value {raw:?}")),
-        },
-    };
-    match req.query_param("k") {
-        None | Some("") | Some("1") => {}
-        Some(_) => {
-            return Response::error(
-                400,
-                "the cluster coordinator serves k=1 only: k-skyband membership cannot be \
-                 decided from per-shard skylines",
-            )
-        }
+    let name = api::dataset_param(req)?;
+    let query = SkylineQuery::parse(req)?;
+    if query.k != 1 {
+        return Err(Response::error(
+            400,
+            "the cluster coordinator serves k=1 only: k-skyband membership cannot be \
+             decided from per-shard skylines",
+        ));
     }
-    for flag in ["include_masks", "include_rows"] {
-        if req
-            .query_param(flag)
-            .is_some_and(|v| !v.is_empty() && v != "0")
-        {
-            return Response::error(
-                400,
-                &format!("{flag:?} is a shard-level option, not available on the coordinator"),
-            );
-        }
+    if query.include_masks || query.include_rows {
+        return Err(Response::error(
+            400,
+            "include_masks and include_rows are shard-level options, not available on \
+             the coordinator",
+        ));
     }
-    let algo = req.query_param("algo").filter(|a| !a.is_empty());
+    let budget = query.deadline_ms.map(Duration::from_millis);
     timer.mark("accept");
 
     // Snapshot the registry: dims, version and the per-shard
@@ -1423,55 +1335,22 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
     // later mutations, nor see half of one).
     let (total_dims, version, handle_maps) = {
         let datasets = shared.datasets.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(state) = datasets.get(name) else {
-            return Response::error(404, &format!("no dataset {name:?}"));
-        };
+        let state = datasets.get(name).ok_or_else(|| no_dataset(name))?;
         (state.dims, state.version, state.handle_to_global.clone())
     };
 
-    let full = Subspace::full(total_dims);
-    let mask = match req.query_param("dims") {
-        None | Some("") => full,
-        Some(raw) => {
-            let mut picked = Vec::new();
-            for part in raw.split(',').filter(|p| !p.is_empty()) {
-                match part.trim().parse::<usize>() {
-                    Ok(d) if d < total_dims => picked.push(d),
-                    _ => {
-                        return Response::error(
-                            400,
-                            &format!("bad dimension {part:?} (dataset has {total_dims} dims)"),
-                        )
-                    }
-                }
-            }
-            if picked.is_empty() {
-                return Response::error(400, "\"dims\" must name at least one dimension");
-            }
-            Subspace::from_dims(picked)
-        }
-    };
-    let query_dims = if mask == full {
+    let mask = query.mask(total_dims)?;
+    let query_dims = if mask == Subspace::full(total_dims) {
         total_dims
     } else {
         mask.size()
     };
 
-    let algo_label = algo.unwrap_or("SDI-Subset").to_string();
-    let deadline_response = |shared: &Shared| {
-        shared.front.metrics.inc_deadline_exceeded();
-        shared.front.emit(Event::DeadlineExceeded {
-            dataset: name.to_string(),
-            algorithm: algo_label.clone(),
-            deadline_ms: deadline_ms.unwrap_or(0),
-        });
-        Response::error(
-            504,
-            &format!(
-                "deadline of {} ms exceeded computing the cluster skyline of {name:?}",
-                deadline_ms.unwrap_or(0)
-            ),
-        )
+    let algo_label = query.algo.unwrap_or("SDI-Subset");
+    let deadline_response = || {
+        shared
+            .front
+            .deadline_exceeded(name, algo_label, query.deadline_ms.unwrap_or(0))
     };
 
     // Scatter. Every shard gets the remaining budget as its own
@@ -1481,19 +1360,19 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
         "/skyline?dataset={}&include_masks=1&include_rows=1",
         encode_component(name)
     );
-    if let Some(a) = algo {
+    if let Some(a) = query.algo {
         path.push_str(&format!("&algo={}", encode_component(a)));
     }
-    if threads > 0 {
-        path.push_str(&format!("&threads={threads}"));
+    if query.threads > 0 {
+        path.push_str(&format!("&threads={}", query.threads));
     }
-    if let Some(raw) = req.query_param("dims").filter(|d| !d.is_empty()) {
+    if let Some(raw) = query.dims {
         path.push_str(&format!("&dims={}", encode_component(raw)));
     }
     let remaining = budget.map(|b| b.saturating_sub(overall.elapsed()));
     if let Some(rem) = remaining {
         if rem.is_zero() {
-            return deadline_response(shared);
+            return Err(deadline_response());
         }
         path.push_str(&format!("&deadline_ms={}", rem.as_millis().max(1)));
     }
@@ -1547,7 +1426,7 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
                     }
                 }
             }
-            Ok((resp, _)) if resp.status == 504 => return deadline_response(shared),
+            Ok((resp, _)) if resp.status == 504 => return Err(deadline_response()),
             _ => {
                 missing.push(s as u64);
                 parsed.push(None);
@@ -1555,7 +1434,7 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
         }
     }
     if missing.len() == shard_count {
-        return Response::error(502, "no shard answered the skyline query");
+        return Err(Response::error(502, "no shard answered the skyline query"));
     }
     let partial = !missing.is_empty();
 
@@ -1572,10 +1451,10 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
         let base = rows_store.len();
         for (i, &h) in sky.handles.iter().enumerate() {
             let Some(&global) = map.get(&h) else {
-                return Response::error(
+                return Err(Response::error(
                     500,
                     &format!("shard {s} returned handle {h} the registry does not know"),
-                );
+                ));
             };
             row_index.insert(global, rows_store.len());
             entries.push(MergeEntry {
@@ -1600,7 +1479,7 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
 
     let remaining = budget.map(|b| b.saturating_sub(overall.elapsed()));
     if remaining.is_some_and(|r| r.is_zero()) {
-        return deadline_response(shared);
+        return Err(deadline_response());
     }
     let cancel = match remaining {
         Some(rem) => CancelToken::with_deadline(rem),
@@ -1634,10 +1513,7 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
             &cancel,
         ),
     };
-    let ids = match merged {
-        Ok(ids) => ids,
-        Err(Cancelled) => return deadline_response(shared),
-    };
+    let ids = merged.map_err(|Cancelled| deadline_response())?;
     shared.front.emit(Event::ClusterMerge {
         shards: shard_count as u64,
         missing: missing.len() as u64,
@@ -1652,34 +1528,26 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
         .iter()
         .flatten()
         .next()
-        .map(|sky| sky.algorithm.clone())
-        .unwrap_or(algo_label);
-    let mut w = ObjectWriter::new();
-    w.str_field("dataset", name)
-        .str_field("algorithm", &algorithm)
-        .u64_field("version", version)
-        .u64_field("mask_bits", mask.bits())
-        .u64_field("k", 1)
-        .bool_field("cached", false)
-        .u64_field("count", ids.len() as u64)
-        .u64_field("elapsed_us", overall.elapsed().as_micros() as u64)
-        .u64_array_field("ids", &ids)
-        .u64_field("shards", shard_count as u64)
-        .bool_field("partial", partial)
-        .u64_array_field("missing_shards", &missing);
-    if wants_timings {
-        let mut t = ObjectWriter::new();
-        for (stage, us) in timer.stages() {
-            t.u64_field(stage, *us);
-        }
-        w.raw_field("timings", &t.finish());
-    }
-    shared.front.finish_skyline(
-        timer,
-        &ctx.trace_id,
-        straggler,
-        Response::json(200, w.finish()),
-    )
+        .map_or(algo_label, |sky| sky.algorithm.as_str());
+    let head = SkylineHead {
+        dataset: name,
+        algorithm,
+        version,
+        mask_bits: mask.bits(),
+        k: 1,
+        cached: false,
+        elapsed_us: overall.elapsed().as_micros() as u64,
+        ids: &ids,
+    };
+    let cluster_fields = |w: &mut ObjectWriter| {
+        w.u64_field("shards", shard_count as u64)
+            .bool_field("partial", partial)
+            .u64_array_field("missing_shards", &missing);
+    };
+    let body = head.answer(cluster_fields, query.timings.then(|| timer.stages()));
+    Ok(shared
+        .front
+        .finish_skyline(timer, &ctx.trace_id, straggler, Response::json(200, body)))
 }
 
 #[cfg(test)]

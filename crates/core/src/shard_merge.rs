@@ -70,7 +70,7 @@ pub struct MergeEntry {
     /// The shard whose local skyline the point belongs to.
     pub shard: u32,
     /// Mask already accumulated against this shard's own reference set
-    /// ([`Subspace::from_bits(0)`] when the caller did no pre-work).
+    /// (`Subspace::from_bits(0)` when the caller did no pre-work).
     pub premask: Subspace,
 }
 

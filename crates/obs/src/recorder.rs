@@ -5,8 +5,9 @@
 //!
 //! - recorder calls happen at *coarse* boundaries only (per phase, per
 //!   Merge iteration, per run) — never inside the dominance-test loop;
-//! - fine-grained distributions accumulate in plain [`Histogram`]s inside
-//!   the caller's metrics struct (one array-index bump per sample);
+//! - fine-grained distributions accumulate in plain
+//!   [`Histogram`](crate::histogram::Histogram)s inside the caller's
+//!   metrics struct (one array-index bump per sample);
 //! - anything that costs an allocation to build (e.g. cloning a bucket
 //!   vector for [`Event::MergeIteration`]) must be guarded by
 //!   [`Recorder::enabled`].
@@ -15,7 +16,6 @@ use std::io::{BufWriter, Write};
 use std::time::Instant;
 
 use crate::event::Event;
-use crate::histogram::Histogram;
 use crate::json::ObjectWriter;
 
 /// Sink for spans and events. See the module docs for the cost contract.
@@ -261,21 +261,6 @@ impl<W: Write> Drop for JsonlRecorder<W> {
         if let Some(out) = self.out.as_mut() {
             let _ = out.flush();
         }
-    }
-}
-
-/// Convenience: snapshot a histogram pair into a [`Event::TrieStats`].
-pub fn trie_stats_event(
-    nodes: u64,
-    entries: u64,
-    depth: &Histogram,
-    candidates: &Histogram,
-) -> Event {
-    Event::TrieStats {
-        nodes,
-        entries,
-        depth: *depth,
-        candidates: *candidates,
     }
 }
 

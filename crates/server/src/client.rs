@@ -249,22 +249,8 @@ pub fn request_with_retry(
     body: &[u8],
     policy: &RetryPolicy,
 ) -> io::Result<ClientResponse> {
-    request_with_retry_counted(addr, method, path, body, policy).0
-}
-
-/// [`request_with_retry`] that also reports how many attempts fired —
-/// callers that account per-endpoint retry load (the cluster
-/// coordinator's `shard_rpc` telemetry) need the count, not just the
-/// final outcome.
-pub fn request_with_retry_counted(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &[u8],
-    policy: &RetryPolicy,
-) -> (io::Result<ClientResponse>, u32) {
-    let (outcome, attempts) = request_with_retry_timed(addr, method, path, body, &[], policy);
-    (outcome.map(|(resp, _)| resp), attempts)
+    let (outcome, _attempts) = request_with_retry_timed(addr, method, path, body, &[], policy);
+    outcome.map(|(resp, _)| resp)
 }
 
 /// The server's own `Retry-After` (whole seconds) on a shed response.
@@ -326,11 +312,12 @@ fn request_following_redirects(
     )))
 }
 
-/// [`request_with_retry_counted`] with extra request headers and the
-/// [`RequestTiming`] of the attempt whose outcome is returned. The
-/// cluster coordinator uses this to propagate trace headers to shards
-/// and attribute connect/send/wait time per leg. Each attempt follows
-/// `307` write redirects (see [`request_following_redirects`]).
+/// [`request_with_retry`] with extra request headers, the
+/// [`RequestTiming`] of the attempt whose outcome is returned, and how
+/// many attempts fired. The cluster coordinator uses this to propagate
+/// trace headers to shards, attribute connect/send/wait time per leg,
+/// and account retry load per shard. Each attempt follows up to
+/// [`MAX_REDIRECT_HOPS`] `307` write redirects.
 pub fn request_with_retry_timed(
     addr: SocketAddr,
     method: &str,
@@ -403,19 +390,6 @@ impl Session {
     /// Issue one request on the persistent connection.
     pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<ClientResponse> {
         write_request(&mut self.writer, method, path, body, false, &[])?;
-        read_response(&mut self.reader)
-    }
-
-    /// Issue one request with extra request headers on the persistent
-    /// connection.
-    pub fn request_with_headers(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        headers: &[(String, String)],
-    ) -> io::Result<ClientResponse> {
-        write_request(&mut self.writer, method, path, body, false, headers)?;
         read_response(&mut self.reader)
     }
 }

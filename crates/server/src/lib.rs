@@ -13,7 +13,9 @@
 //!   is the graceful-shutdown signal;
 //! - [`service`] — the HTTP front end this server shares with the
 //!   cluster coordinator: accept thread, keep-alive connection loop,
-//!   running handle, trace sinks and request helpers;
+//!   running handle and trace sinks;
+//! - [`api`] — the one parser for the request shapes both services
+//!   accept, and the head of every `/skyline` answer;
 //! - [`registry`] — named datasets, each a [`StreamingSkyline`] plus an
 //!   immutable snapshot rebuilt on mutation, behind an `RwLock` so
 //!   readers only pay an `Arc` clone;
@@ -33,10 +35,10 @@
 //!
 //! Robustness: `/skyline` honours a cooperative `deadline_ms` (504 on
 //! expiry), an admission gate sheds excess load with 503 +
-//! `Retry-After` (global `max_inflight`, per-dataset caps, and a
-//! connection-queue limit), and handler panics are isolated into 500s
-//! while the worker pool respawns panicked workers. Shutdown closes idle
-//! connections at once and lets in-flight requests finish.
+//! `Retry-After` (global `max_inflight` and a connection-queue limit),
+//! and handler panics are isolated into 500s while the worker pool
+//! respawns panicked workers. Shutdown closes idle connections at once
+//! and lets in-flight requests finish.
 //!
 //! Endpoints: `GET /healthz`, `GET /metrics`, `GET /datasets`,
 //! `POST /datasets`, `POST|DELETE /datasets/{name}/points`,
@@ -54,6 +56,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod api;
 pub mod cache;
 pub mod client;
 pub mod faults;
@@ -68,7 +71,7 @@ pub mod wal;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use skyline_algos::skyband::k_skyband_ids;
@@ -78,17 +81,17 @@ use skyline_core::dataset::Dataset;
 use skyline_core::metrics::Metrics;
 use skyline_core::point::PointId;
 use skyline_core::subspace::Subspace;
-use skyline_data::synthetic::{Distribution, SyntheticSpec};
 use skyline_obs::json::{self, ObjectWriter, Value};
 use skyline_obs::trace::StageTimer;
 use skyline_obs::Event;
 
+use api::{parse_body, NewDataset, SkylineHead, SkylineQuery};
 use cache::{CacheKey, CachedResult, ResultCache};
 use http::{Request, Response};
 use metrics::Extra;
 use registry::{Registry, RegistryError};
 use replica::Role;
-use service::{inherited_trace, parse_body, parse_rows, FrontConfig, FrontEnd, Service};
+use service::{inherited_trace, FrontConfig, FrontEnd, Service};
 
 /// Request header carrying the fencing epoch the sender believes is
 /// current. A mismatch against the receiving node's own epoch is
@@ -132,9 +135,6 @@ pub struct ServerConfig {
     /// Connection backlog (queued, not yet picked up by a worker) before
     /// the accept loop sheds with 503. `0` = unlimited.
     pub queue_limit: usize,
-    /// Concurrent `/skyline` queries per dataset before shedding with
-    /// 503. `0` = unlimited.
-    pub max_queries_per_dataset: usize,
     /// Slow-query threshold, milliseconds: a `/skyline` request whose
     /// wall-clock reaches it gets its full stage breakdown written as a
     /// JSONL `stage_breakdown` record. `0` disables the slow-query log.
@@ -170,7 +170,6 @@ impl Default for ServerConfig {
             fsync: wal::FsyncPolicy::default(),
             max_inflight: 0,
             queue_limit: 1024,
-            max_queries_per_dataset: 0,
             slow_ms: 0,
             slow_log: None,
             feed_retain: registry::DEFAULT_FEED_RETAIN,
@@ -189,9 +188,6 @@ struct Shared {
     /// `/skyline` queries currently executing (admission gate).
     inflight: AtomicUsize,
     max_inflight: usize,
-    /// Per-dataset concurrent `/skyline` query counts.
-    dataset_inflight: Mutex<std::collections::HashMap<String, usize>>,
-    max_queries_per_dataset: usize,
     /// The node's failover state: role, fencing epoch, and replication
     /// progress. Present on every server — a primary can be demoted
     /// into a follower and a follower promoted, both in place.
@@ -241,51 +237,6 @@ fn acquire_inflight(shared: &Shared) -> Result<Option<InflightPermit<'_>>, ()> {
             Err(now) => current = now,
         }
     }
-}
-
-/// RAII permit from a dataset's concurrency cap.
-struct DatasetPermit<'a> {
-    shared: &'a Shared,
-    name: String,
-}
-
-impl Drop for DatasetPermit<'_> {
-    fn drop(&mut self) {
-        let mut map = self
-            .shared
-            .dataset_inflight
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if let Some(n) = map.get_mut(&self.name) {
-            *n -= 1;
-            if *n == 0 {
-                map.remove(&self.name);
-            }
-        }
-    }
-}
-
-/// Same contract as [`acquire_inflight`], but per dataset.
-fn acquire_dataset_slot<'a>(
-    shared: &'a Shared,
-    name: &str,
-) -> Result<Option<DatasetPermit<'a>>, ()> {
-    if shared.max_queries_per_dataset == 0 {
-        return Ok(None); // unlimited
-    }
-    let mut map = shared
-        .dataset_inflight
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    let n = map.entry(name.to_string()).or_insert(0);
-    if *n >= shared.max_queries_per_dataset {
-        return Err(());
-    }
-    *n += 1;
-    Ok(Some(DatasetPermit {
-        shared,
-        name: name.to_string(),
-    }))
 }
 
 /// A running server. Dropping the handle shuts the server down.
@@ -365,8 +316,6 @@ impl Server {
             cache: ResultCache::new(config.cache_capacity),
             inflight: AtomicUsize::new(0),
             max_inflight: config.max_inflight,
-            dataset_inflight: Mutex::new(std::collections::HashMap::new()),
-            max_queries_per_dataset: config.max_queries_per_dataset,
             failover: replica::ReplicaState::new(role, config.follow_wait_ms, boot_epoch),
         });
         for (dataset, replayed, version) in shared.registry.recovery_log() {
@@ -410,9 +359,9 @@ fn route(shared: &Shared, req: &Request) -> (Response, &'static str) {
         let response = match req.method.as_str() {
             "POST" => handle_insert(shared, name, req),
             "DELETE" => handle_remove(shared, name, req),
-            _ => Response::error(405, "points supports POST and DELETE"),
+            _ => Err(Response::error(405, "points supports POST and DELETE")),
         };
-        return (response, endpoint);
+        return (response.unwrap_or_else(|refusal| refusal), endpoint);
     }
     if let Some(name) = req
         .path
@@ -426,7 +375,7 @@ fn route(shared: &Shared, req: &Request) -> (Response, &'static str) {
             return (fenced, endpoint);
         }
         let response = match req.method.as_str() {
-            "GET" => handle_changes(shared, name, req),
+            "GET" => handle_changes(shared, name, req).unwrap_or_else(|refusal| refusal),
             _ => Response::error(405, "changes supports GET"),
         };
         return (response, endpoint);
@@ -446,7 +395,10 @@ fn route(shared: &Shared, req: &Request) -> (Response, &'static str) {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => (handle_healthz(shared), "/healthz"),
         ("GET", "/metrics") => (handle_metrics(shared, req), "/metrics"),
-        ("GET", "/skyline") => (handle_skyline(shared, req), "/skyline"),
+        ("GET", "/skyline") => (
+            handle_skyline(shared, req).unwrap_or_else(|refusal| refusal),
+            "/skyline",
+        ),
         ("GET", "/datasets") => (handle_list(shared), "/datasets"),
         ("POST", "/datasets") => match fence_check(shared, req, "/datasets") {
             Some(fenced) => (fenced, "/datasets"),
@@ -745,50 +697,14 @@ const MAX_WAIT_MS: u64 = 25_000;
 /// hold expires into an explicit heartbeat (empty batch, unchanged
 /// cursor); a cursor behind the retention horizon answers 410 Gone
 /// with `oldest_version` so the consumer knows to resync.
-fn handle_changes(shared: &Shared, name: &str, req: &Request) -> Response {
-    let entry = match shared.registry.get(name) {
-        Ok(e) => e,
-        Err(e) => return registry_response(e),
-    };
-    let since: u64 = match req.query_param("since") {
-        None | Some("") => 0,
-        Some(raw) => match raw.parse() {
-            Ok(v) => v,
-            Err(_) => return Response::error(400, &format!("bad \"since\" value {raw:?}")),
-        },
-    };
-    let limit: usize = match req.query_param("limit") {
-        None | Some("") => 512,
-        Some(raw) => match raw.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => return Response::error(400, &format!("bad \"limit\" value {raw:?} (>= 1)")),
-        },
-    };
-    let with_ops = match req.query_param("ops") {
-        None | Some("") | Some("0") => false,
-        Some("1") => true,
-        Some(raw) => return Response::error(400, &format!("bad \"ops\" value {raw:?} (0 or 1)")),
-    };
-    let subscribe = match req.query_param("subscribe") {
-        None | Some("") | Some("0") => false,
-        Some("1") => true,
-        Some(raw) => {
-            return Response::error(400, &format!("bad \"subscribe\" value {raw:?} (0 or 1)"))
-        }
-    };
-    let wait_ms: u64 = match req.query_param("wait_ms") {
-        None | Some("") => {
-            if subscribe {
-                10_000
-            } else {
-                0
-            }
-        }
-        Some(raw) => match raw.parse() {
-            Ok(ms) => ms,
-            Err(_) => return Response::error(400, &format!("bad \"wait_ms\" value {raw:?}")),
-        },
-    };
+fn handle_changes(shared: &Shared, name: &str, req: &Request) -> Result<Response, Response> {
+    let entry = shared.registry.get(name).map_err(registry_response)?;
+    let since = api::query_u64(req, "since", 0)?.unwrap_or(0);
+    let limit = api::query_u64(req, "limit", 1)?.unwrap_or(512) as usize;
+    let with_ops = api::query_flag(req, "ops")?;
+    let subscribe = api::query_flag(req, "subscribe")?;
+    let default_wait_ms = if subscribe { 10_000 } else { 0 };
+    let wait_ms = api::query_u64(req, "wait_ms", 0)?.unwrap_or(default_wait_ms);
     // Long-poll: park on the dataset's feed condvar until a version
     // beyond the cursor exists. Waits are sliced so shutdown never
     // blocks behind a subscriber's full hold.
@@ -803,7 +719,7 @@ fn handle_changes(shared: &Shared, name: &str, req: &Request) -> Response {
             break;
         }
     }
-    match entry.changes_since(since, limit) {
+    Ok(match entry.changes_since(since, limit) {
         Err(gone) => {
             shared.front.emit(Event::FeedPoll {
                 dataset: name.to_string(),
@@ -849,7 +765,7 @@ fn handle_changes(shared: &Shared, name: &str, req: &Request) -> Response {
                 .raw_field("records", &format!("[{}]", records.join(",")));
             Response::json(200, w.finish())
         }
-    }
+    })
 }
 
 /// `GET /datasets/{name}/snapshot` — the dataset's full state in the
@@ -1025,54 +941,11 @@ fn metrics_json(shared: &Shared, stats: &cache::CacheStats) -> String {
 /// `{"name": ..., "synthetic": {"distribution": "AC", "n": 1000,
 /// "dims": 6, "seed": 42}}`; an empty dataset needs explicit `"dims"`.
 fn handle_create(shared: &Shared, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
+    let new = match NewDataset::parse(req, shared.front.max_body) {
+        Ok(new) => new,
+        Err(refusal) => return refusal,
     };
-    let Some(name) = body.get("name").and_then(Value::as_str) else {
-        return Response::error(400, "missing string field \"name\"");
-    };
-    let (rows, dims) = if let Some(synth) = body.get("synthetic") {
-        let tag = synth
-            .get("distribution")
-            .and_then(Value::as_str)
-            .unwrap_or("UI");
-        let Some(distribution) = Distribution::from_tag(tag) else {
-            return Response::error(400, &format!("unknown distribution {tag:?} (UI, CO, AC)"));
-        };
-        let Some(n) = synth.get("n").and_then(Value::as_u64) else {
-            return Response::error(400, "synthetic spec needs numeric \"n\"");
-        };
-        let Some(dims) = synth.get("dims").and_then(Value::as_u64) else {
-            return Response::error(400, "synthetic spec needs numeric \"dims\"");
-        };
-        let seed = synth.get("seed").and_then(Value::as_u64).unwrap_or(42);
-        let spec = SyntheticSpec {
-            distribution,
-            cardinality: n as usize,
-            dims: dims as usize,
-            seed,
-        };
-        let data = spec.generate();
-        let rows: Vec<Vec<f64>> = data.iter().map(|(_, row)| row.to_vec()).collect();
-        (rows, data.dims())
-    } else if let Some(rows_value) = body.get("rows") {
-        let rows = match parse_rows(rows_value) {
-            Ok(rows) => rows,
-            Err(msg) => return Response::error(400, &msg),
-        };
-        let dims = match (rows.first(), body.get("dims").and_then(Value::as_u64)) {
-            (Some(first), _) => first.len(),
-            (None, Some(dims)) => dims as usize,
-            (None, None) => {
-                return Response::error(400, "empty \"rows\" needs explicit \"dims\"");
-            }
-        };
-        (rows, dims)
-    } else {
-        return Response::error(400, "body needs either \"rows\" or \"synthetic\"");
-    };
-    match shared.registry.create(name, dims, &rows) {
+    match shared.registry.create(&new.name, new.dims, &new.rows) {
         Ok(entry) => Response::json(201, dataset_info_json(&entry.info())),
         Err(e) => registry_response(e),
     }
@@ -1139,68 +1012,34 @@ fn mutation_json_fields(
 }
 
 /// `POST /datasets/{name}/points` — body `{"rows": [[...], ...]}`.
-fn handle_insert(shared: &Shared, name: &str, req: &Request) -> Response {
+fn handle_insert(shared: &Shared, name: &str, req: &Request) -> Result<Response, Response> {
     let trace_id = inherited_trace(req);
-    let entry = match shared.registry.get(name) {
-        Ok(e) => e,
-        Err(e) => return registry_response(e),
-    };
-    let body = match parse_body(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let Some(rows_value) = body.get("rows") else {
-        return Response::error(400, "body needs \"rows\"");
-    };
-    let rows = match parse_rows(rows_value) {
-        Ok(rows) => rows,
-        Err(msg) => return Response::error(400, &msg),
-    };
-    match entry.insert_rows(&rows) {
-        Ok((ids, mutation)) => {
-            let out = apply_mutation(shared, name, entry.dims(), &mutation, &trace_id);
-            let ids64: Vec<u64> = ids.iter().map(|&i| i as u64).collect();
-            let mut w = ObjectWriter::new();
-            w.u64_field("inserted", ids.len() as u64)
-                .u64_array_field("ids", &ids64);
-            mutation_json_fields(&mut w, &mutation, &out, shared.failover.epoch());
-            Response::json(200, w.finish())
-        }
-        Err(e) => registry_response(e),
-    }
+    let entry = shared.registry.get(name).map_err(registry_response)?;
+    let rows = api::insert_rows(req)?;
+    let (ids, mutation) = entry.insert_rows(&rows).map_err(registry_response)?;
+    let out = apply_mutation(shared, name, entry.dims(), &mutation, &trace_id);
+    let ids64: Vec<u64> = ids.iter().map(|&i| i as u64).collect();
+    let mut w = ObjectWriter::new();
+    w.u64_field("inserted", ids.len() as u64)
+        .u64_array_field("ids", &ids64);
+    mutation_json_fields(&mut w, &mutation, &out, shared.failover.epoch());
+    Ok(Response::json(200, w.finish()))
 }
 
 /// `DELETE /datasets/{name}/points` — body `{"ids": [...]}`.
-fn handle_remove(shared: &Shared, name: &str, req: &Request) -> Response {
+fn handle_remove(shared: &Shared, name: &str, req: &Request) -> Result<Response, Response> {
     let trace_id = inherited_trace(req);
-    let entry = match shared.registry.get(name) {
-        Ok(e) => e,
-        Err(e) => return registry_response(e),
-    };
-    let body = match parse_body(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let Some(ids_value) = body.get("ids").and_then(Value::as_arr) else {
-        return Response::error(400, "body needs an \"ids\" array");
-    };
-    let mut ids = Vec::with_capacity(ids_value.len());
-    for (i, v) in ids_value.iter().enumerate() {
-        match v.as_u64() {
-            Some(id) if id <= PointId::MAX as u64 => ids.push(id as PointId),
-            _ => return Response::error(400, &format!("ids[{i}] is not a point id")),
-        }
-    }
-    match entry.remove_ids(&ids) {
-        Ok((removed, mutation)) => {
-            let out = apply_mutation(shared, name, entry.dims(), &mutation, &trace_id);
-            let mut w = ObjectWriter::new();
-            w.u64_field("removed", removed as u64);
-            mutation_json_fields(&mut w, &mutation, &out, shared.failover.epoch());
-            Response::json(200, w.finish())
-        }
-        Err(e) => registry_response(e),
-    }
+    let entry = shared.registry.get(name).map_err(registry_response)?;
+    let ids: Vec<PointId> = api::remove_ids(req, PointId::MAX as u64)?
+        .into_iter()
+        .map(|id| id as PointId)
+        .collect();
+    let (removed, mutation) = entry.remove_ids(&ids).map_err(registry_response)?;
+    let out = apply_mutation(shared, name, entry.dims(), &mutation, &trace_id);
+    let mut w = ObjectWriter::new();
+    w.u64_field("removed", removed as u64);
+    mutation_json_fields(&mut w, &mutation, &out, shared.failover.epoch());
+    Ok(Response::json(200, w.finish()))
 }
 
 /// Optional `/skyline` response payload behind `include_masks=1` /
@@ -1218,7 +1057,8 @@ struct SkylineExtras {
     rows_json: Option<String>,
 }
 
-fn skyline_json_with(
+/// A node's `/skyline` answer: the shared head, then the opt-in extras.
+fn skyline_json(
     key: &CacheKey,
     cached: bool,
     ids: &[PointId],
@@ -1226,18 +1066,19 @@ fn skyline_json_with(
     extras: Option<&SkylineExtras>,
     timings: Option<&[(String, u64)]>,
 ) -> String {
-    let ids64: Vec<u64> = ids.iter().map(|&i| i as u64).collect();
-    let mut w = ObjectWriter::new();
-    w.str_field("dataset", &key.dataset)
-        .str_field("algorithm", &key.algorithm)
-        .u64_field("version", key.version)
-        .u64_field("mask_bits", key.mask_bits)
-        .u64_field("k", key.k)
-        .bool_field("cached", cached)
-        .u64_field("count", ids.len() as u64)
-        .u64_field("elapsed_us", elapsed_us)
-        .u64_array_field("ids", &ids64);
-    if let Some(extras) = extras {
+    let ids: Vec<u64> = ids.iter().map(|&i| i as u64).collect();
+    let head = SkylineHead {
+        dataset: &key.dataset,
+        algorithm: &key.algorithm,
+        version: key.version,
+        mask_bits: key.mask_bits,
+        k: key.k,
+        cached,
+        elapsed_us,
+        ids: &ids,
+    };
+    let extras_fields = |w: &mut ObjectWriter| {
+        let Some(extras) = extras else { return };
         if let Some((masks, elites)) = &extras.masks {
             w.u64_array_field("masks", masks)
                 .u64_array_field("elites", elites);
@@ -1245,15 +1086,8 @@ fn skyline_json_with(
         if let Some(rows) = &extras.rows_json {
             w.raw_field("rows", rows);
         }
-    }
-    if let Some(stages) = timings {
-        let mut t = ObjectWriter::new();
-        for (name, us) in stages {
-            t.u64_field(name, *us);
-        }
-        w.raw_field("timings", &t.finish());
-    }
-    w.finish()
+    };
+    head.answer(extras_fields, timings)
 }
 
 /// Compute the opt-in extras for skyline `row_ids` (row indices into
@@ -1366,134 +1200,51 @@ fn min_version_gate(
 }
 
 /// `GET /skyline?dataset=&algo=&dims=&k=&threads=&deadline_ms=`.
-fn handle_skyline(shared: &Shared, req: &Request) -> Response {
+fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response, Response> {
     let mut timer = StageTimer::start();
     let trace_id = inherited_trace(req);
-    let wants_timings = req.query_param("timings") == Some("1");
-    let Some(name) = req.query_param("dataset") else {
-        return Response::error(400, "missing query parameter \"dataset\"");
-    };
+    let name = api::dataset_param(req)?;
     // Global admission gate: beyond `max_inflight` concurrent queries,
     // shed immediately rather than queueing work the server cannot keep
     // up with.
-    let _inflight = match acquire_inflight(shared) {
-        Ok(permit) => permit,
-        Err(()) => {
-            return shared
-                .front
-                .shed("/skyline", "server overloaded: too many queries in flight")
-        }
-    };
-    let entry = match shared.registry.get(name) {
-        Ok(e) => e,
-        Err(e) => return registry_response(e),
-    };
-    let _dataset_slot = match acquire_dataset_slot(shared, name) {
-        Ok(permit) => permit,
-        Err(()) => {
-            return shared.front.shed(
-                "/skyline",
-                &format!("dataset {name:?} overloaded: too many concurrent queries"),
-            )
-        }
-    };
+    let _inflight = acquire_inflight(shared).map_err(|()| {
+        shared
+            .front
+            .shed("/skyline", "server overloaded: too many queries in flight")
+    })?;
+    let entry = shared.registry.get(name).map_err(registry_response)?;
     if let Some(resp) = min_version_gate(shared, &entry, name, req) {
-        return resp;
+        return Err(resp);
     }
-    let deadline_ms: Option<u64> = match req.query_param("deadline_ms") {
-        None | Some("") => None,
-        Some(raw) => match raw.parse() {
-            Ok(ms) if ms > 0 => Some(ms),
-            _ => {
-                return Response::error(
-                    400,
-                    &format!("bad \"deadline_ms\" value {raw:?} (positive integer)"),
-                )
-            }
-        },
-    };
-    let threads: u64 = match req.query_param("threads") {
-        None | Some("") => 0,
-        Some(raw) => match raw.parse() {
-            Ok(n) => n,
-            Err(_) => return Response::error(400, &format!("bad \"threads\" value {raw:?}")),
-        },
-    };
-    let k: u64 = match req.query_param("k") {
-        None | Some("") => 1,
-        Some(raw) => match raw.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => return Response::error(400, &format!("bad \"k\" value {raw:?} (k >= 1)")),
-        },
-    };
-    let include_masks = match req.query_param("include_masks") {
-        None | Some("") | Some("0") => false,
-        Some("1") => true,
-        Some(raw) => {
-            return Response::error(
-                400,
-                &format!("bad \"include_masks\" value {raw:?} (0 or 1)"),
-            )
-        }
-    };
-    let include_rows = match req.query_param("include_rows") {
-        None | Some("") | Some("0") => false,
-        Some("1") => true,
-        Some(raw) => {
-            return Response::error(400, &format!("bad \"include_rows\" value {raw:?} (0 or 1)"))
-        }
-    };
+    let query = SkylineQuery::parse(req)?;
+    let SkylineQuery {
+        k,
+        threads,
+        include_masks,
+        include_rows,
+        ..
+    } = query;
     if include_masks && k > 1 {
-        return Response::error(
+        return Err(Response::error(
             400,
             "include_masks=1 requires k=1: dominating-subspace masks are only defined for the skyline",
-        );
+        ));
     }
-    let algo_name = match req.query_param("algo") {
-        None | Some("") => "SDI-Subset",
-        Some(a) => a,
-    };
+    let algo_name = query.algo.unwrap_or("SDI-Subset");
     let wants_parallel = threads > 0 || algo_name.starts_with("P-") || algo_name.starts_with("p-");
     let algo: Box<dyn SkylineAlgorithm> = if wants_parallel {
-        match parallel_algorithm(algo_name, None, threads as usize) {
-            Some(a) => a,
-            None => {
-                return Response::error(
-                    400,
-                    &format!("no parallel engine for algorithm {algo_name:?}"),
-                )
-            }
-        }
+        parallel_algorithm(algo_name, None, threads as usize).ok_or_else(|| {
+            Response::error(
+                400,
+                &format!("no parallel engine for algorithm {algo_name:?}"),
+            )
+        })?
     } else {
-        match algorithm_by_name(algo_name) {
-            Some(a) => a,
-            None => return Response::error(400, &format!("unknown algorithm {algo_name:?}")),
-        }
+        algorithm_by_name(algo_name)
+            .ok_or_else(|| Response::error(400, &format!("unknown algorithm {algo_name:?}")))?
     };
-
-    let total_dims = entry.dims();
-    let full = Subspace::full(total_dims);
-    let mask = match req.query_param("dims") {
-        None | Some("") => full,
-        Some(raw) => {
-            let mut picked = Vec::new();
-            for part in raw.split(',').filter(|p| !p.is_empty()) {
-                match part.trim().parse::<usize>() {
-                    Ok(d) if d < total_dims => picked.push(d),
-                    _ => {
-                        return Response::error(
-                            400,
-                            &format!("bad dimension {part:?} (dataset has {total_dims} dims)"),
-                        )
-                    }
-                }
-            }
-            if picked.is_empty() {
-                return Response::error(400, "\"dims\" must name at least one dimension");
-            }
-            Subspace::from_dims(picked)
-        }
-    };
+    let full = Subspace::full(entry.dims());
+    let mask = query.mask(entry.dims())?;
 
     timer.mark("parse");
     let snapshot = entry.snapshot();
@@ -1538,41 +1289,31 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
         });
         timer.mark("cache");
         let elapsed_us = start.elapsed().as_micros() as u64;
-        let body = skyline_json_with(
+        let body = skyline_json(
             &key,
             true,
             &hit.ids,
             elapsed_us,
             extras.as_ref(),
-            wants_timings.then(|| timer.stages().to_vec()).as_deref(),
+            query.timings.then(|| timer.stages()),
         );
         let resp = with_replica_lag(shared, name, Response::json(200, body));
-        return shared
+        return Ok(shared
             .front
-            .finish_skyline(timer, &trace_id, String::new(), resp);
+            .finish_skyline(timer, &trace_id, String::new(), resp));
     }
     timer.mark("cache");
 
     // The deadline starts at compute time: parsing and cache probing are
     // bounded, the algorithm run is not.
-    let token = match deadline_ms {
+    let token = match query.deadline_ms {
         Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
         None => CancelToken::none(),
     };
     let deadline_response = || {
-        shared.front.metrics.inc_deadline_exceeded();
-        shared.front.emit(Event::DeadlineExceeded {
-            dataset: name.to_string(),
-            algorithm: algo.name().to_string(),
-            deadline_ms: deadline_ms.unwrap_or(0),
-        });
-        Response::error(
-            504,
-            &format!(
-                "deadline of {} ms exceeded computing skyline of {name:?}",
-                deadline_ms.unwrap_or(0)
-            ),
-        )
+        shared
+            .front
+            .deadline_exceeded(name, algo.name(), query.deadline_ms.unwrap_or(0))
     };
     let mut extras: Option<SkylineExtras> = None;
     let ids: Vec<PointId> = match &snapshot.dataset {
@@ -1596,16 +1337,14 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
                 // The skyband path has no in-loop cancellation; honour
                 // the deadline with an up-front check.
                 if token.check().is_err() {
-                    return deadline_response();
+                    return Err(deadline_response());
                 }
                 let mut band = k_skyband_ids(target, k as usize, &mut metrics);
                 band.sort_unstable();
                 band
             } else {
-                match algo.compute_cancellable(target, &mut metrics, &token) {
-                    Ok(rows) => rows,
-                    Err(_) => return deadline_response(),
-                }
+                algo.compute_cancellable(target, &mut metrics, &token)
+                    .map_err(|_| deadline_response())?
             };
             timer.mark("compute");
             if include_masks || include_rows {
@@ -1626,19 +1365,19 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Response {
     };
     timer.mark("extras");
     let elapsed_us = start.elapsed().as_micros() as u64;
-    let body = skyline_json_with(
+    let body = skyline_json(
         &key,
         false,
         &ids,
         elapsed_us,
         extras.as_ref(),
-        wants_timings.then(|| timer.stages().to_vec()).as_deref(),
+        query.timings.then(|| timer.stages()),
     );
     shared.cache.insert(key, CachedResult { ids, elapsed_us });
     let resp = with_replica_lag(shared, name, Response::json(200, body));
-    shared
+    Ok(shared
         .front
-        .finish_skyline(timer, &trace_id, String::new(), resp)
+        .finish_skyline(timer, &trace_id, String::new(), resp))
 }
 
 #[cfg(test)]

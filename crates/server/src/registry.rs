@@ -553,7 +553,9 @@ fn validate_rows(rows: &[Vec<f64>], dims: usize) -> Result<(), RegistryError> {
     Ok(())
 }
 
-fn validate_name(name: &str) -> Result<(), RegistryError> {
+/// The naming rule every dataset name must pass: 1-64 characters from
+/// `[A-Za-z0-9._-]`.
+pub(crate) fn validate_name(name: &str) -> Result<(), RegistryError> {
     let ok = !name.is_empty()
         && name.len() <= 64
         && name

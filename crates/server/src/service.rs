@@ -5,8 +5,9 @@
 //! binding, the accept thread and its worker pool (with the optional
 //! connection-queue shed), the keep-alive connection loop with panic
 //! isolation and per-request metrics, the running handle, the trace and
-//! slow-query sinks, and the request helpers every handler uses. A
-//! service supplies only [`Service::route`].
+//! slow-query sinks, and the answers both services give alike (shed
+//! load, deadline expiry, shutdown, `/metrics`). A service supplies only
+//! [`Service::route`]; [`crate::api`] parses the requests it routes.
 //!
 //! Shutdown is prompt and graceful: it closes the read half of every
 //! live connection, so a worker parked on an idle keep-alive connection
@@ -25,7 +26,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use skyline_obs::json::{ObjectWriter, Value};
+use skyline_obs::json::ObjectWriter;
 use skyline_obs::trace::{self, StageTimer};
 use skyline_obs::{Event, JsonlRecorder, Recorder};
 
@@ -81,11 +82,12 @@ pub struct FrontEnd {
     pub metrics: ServerMetrics,
     /// The JSONL trace sink, if one is configured.
     pub recorder: Option<Mutex<JsonlRecorder<File>>>,
+    /// Request body cap, bytes.
+    pub max_body: usize,
     slow_ms: u64,
     slow_log: Option<Mutex<JsonlRecorder<File>>>,
     name: &'static str,
     request_timeout: Duration,
-    max_body: usize,
     queue_limit: usize,
     shutdown: AtomicBool,
     /// Connections being served, so shutdown can close their read
@@ -190,6 +192,21 @@ impl FrontEnd {
             endpoint: endpoint.to_string(),
         });
         Response::error(503, why).with_header("Retry-After", "1")
+    }
+
+    /// A 504 for a `/skyline` query whose `deadline_ms` ran out, counted
+    /// in `deadline_exceeded_total` and traced as `deadline_exceeded`.
+    pub fn deadline_exceeded(&self, dataset: &str, algorithm: &str, deadline_ms: u64) -> Response {
+        self.metrics.inc_deadline_exceeded();
+        self.emit(Event::DeadlineExceeded {
+            dataset: dataset.to_string(),
+            algorithm: algorithm.to_string(),
+            deadline_ms,
+        });
+        Response::error(
+            504,
+            &format!("deadline of {deadline_ms} ms exceeded computing the skyline of {dataset:?}"),
+        )
     }
 
     /// `GET /metrics`: the service's JSON document by default, the
@@ -448,35 +465,6 @@ pub fn inherited_trace(req: &Request) -> String {
         .filter(|t| trace::is_valid_id(t))
         .unwrap_or("")
         .to_string()
-}
-
-/// The request body as JSON, or a 400 saying why it is not.
-pub fn parse_body(req: &Request) -> Result<Value, Response> {
-    let text = req
-        .body_str()
-        .map_err(|e| Response::error(400, &e.to_string()))?;
-    Value::parse(text).map_err(|e| Response::error(400, &format!("bad JSON body: {e}")))
-}
-
-/// A `"rows"` value as numeric rows, or a message naming the first bad
-/// entry.
-pub fn parse_rows(v: &Value) -> Result<Vec<Vec<f64>>, String> {
-    let arr = v.as_arr().ok_or("\"rows\" must be an array of arrays")?;
-    arr.iter()
-        .enumerate()
-        .map(|(i, row)| {
-            let row = row
-                .as_arr()
-                .ok_or_else(|| format!("row {i} is not an array"))?;
-            row.iter()
-                .enumerate()
-                .map(|(j, val)| {
-                    val.as_f64()
-                        .ok_or_else(|| format!("row {i}, value {j} is not a number"))
-                })
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -307,6 +307,116 @@ fn coordinator_validates_requests() {
     assert_eq!(resp.status, 200);
 }
 
+/// A node and a coordinator share one request parser, so every bad
+/// request gets the same 4xx from both, and none of them costs a panic
+/// or the process.
+#[test]
+fn node_and_coordinator_refuse_the_same_requests() {
+    let node = skyline_serve::Server::start(skyline_serve::ServerConfig {
+        threads: 2,
+        ..Default::default()
+    })
+    .expect("start node");
+    let (_shards, coordinator) = start_cluster(2);
+    let targets = [node.local_addr(), coordinator.local_addr()];
+    for &addr in &targets {
+        create_dataset(addr, "ok", &[vec![1.0, 2.0], vec![2.0, 1.0]]);
+    }
+
+    let synthetic = |spec: &str| format!(r#"{{"name":"fresh","synthetic":{spec}}}"#);
+    let table: Vec<(&str, &str, String, u16)> = vec![
+        ("bad JSON", "/datasets", "{\"name\":".into(), 400),
+        (
+            "missing name",
+            "/datasets",
+            r#"{"rows":[[1,2]]}"#.into(),
+            400,
+        ),
+        (
+            "bad name",
+            "/datasets",
+            r#"{"name":"no spaces!","rows":[[1,2]]}"#.into(),
+            400,
+        ),
+        (
+            "unknown distribution",
+            "/datasets",
+            synthetic(r#"{"distribution":"ZZ","n":10,"dims":2}"#),
+            400,
+        ),
+        (
+            "synthetic without n",
+            "/datasets",
+            synthetic(r#"{"dims":2}"#),
+            400,
+        ),
+        (
+            "synthetic without dims",
+            "/datasets",
+            synthetic(r#"{"n":10}"#),
+            400,
+        ),
+        (
+            "dims 0",
+            "/datasets",
+            synthetic(r#"{"n":10,"dims":0}"#),
+            400,
+        ),
+        (
+            "dims 65",
+            "/datasets",
+            synthetic(r#"{"n":10,"dims":65}"#),
+            400,
+        ),
+        (
+            "empty rows without dims",
+            "/datasets",
+            r#"{"name":"fresh","rows":[]}"#.into(),
+            400,
+        ),
+        (
+            "ragged rows",
+            "/datasets",
+            r#"{"name":"fresh","rows":[[1,2],[3]]}"#.into(),
+            400,
+        ),
+        (
+            "huge n",
+            "/datasets",
+            synthetic(r#"{"n":1000000000000,"dims":1}"#),
+            413,
+        ),
+    ];
+    let queries = [
+        ("bad deadline_ms", "/skyline?dataset=ok&deadline_ms=0"),
+        ("bad threads", "/skyline?dataset=ok&threads=many"),
+        ("bad dims", "/skyline?dataset=ok&dims=9"),
+        ("include_rows=yes", "/skyline?dataset=ok&include_rows=yes"),
+    ];
+    let points = [
+        ("POST", "non-array rows", r#"{"rows":5}"#),
+        ("DELETE", "non-numeric ids", r#"{"ids":["a"]}"#),
+    ];
+
+    for &addr in &targets {
+        for (what, path, body, want) in &table {
+            let resp = http_client::post(addr, path, body).expect(what);
+            assert_eq!(resp.status, *want, "{what} at {addr}: {}", resp.body_str());
+        }
+        for (what, path) in queries {
+            let resp = http_client::get(addr, path).expect(what);
+            assert_eq!(resp.status, 400, "{what} at {addr}: {}", resp.body_str());
+        }
+        for (method, what, body) in points {
+            let resp = http_client::request(addr, method, "/datasets/ok/points", body.as_bytes())
+                .expect(what);
+            assert_eq!(resp.status, 400, "{what} at {addr}: {}", resp.body_str());
+        }
+        assert_eq!(http_client::get(addr, "/healthz").unwrap().status, 200);
+        assert_eq!(coord_metric(addr, "panics_total"), 0, "panics at {addr}");
+    }
+}
+
 /// Metric counter from the coordinator's `/metrics` JSON.
 fn coord_metric(coord: SocketAddr, field: &str) -> u64 {
     let resp = http_client::get(coord, "/metrics").unwrap();
