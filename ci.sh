@@ -27,6 +27,13 @@ wait_exit() {
     return 1
 }
 
+# Report trace $1 into $1.report, and fail unless every record in it
+# read back: the report's header line says `(0 skipped)`.
+report_whole() {
+    ./target/release/skyline report "$1" > "$1.report"
+    grep -q '^trace: [0-9]* records (0 skipped)' "$1.report"
+}
+
 if [[ "$quick" != "quick" ]]; then
     echo "==> cargo fmt --check"
     cargo fmt --check
@@ -71,12 +78,14 @@ if [[ "$quick" != "quick" ]]; then
         -o "$tmp/ui.csv"
     ./target/release/skyline compute "$tmp/ui.csv" --trace "$tmp/t.jsonl" \
         >/dev/null
-    ./target/release/skyline report "$tmp/t.jsonl" | grep -q "algorithm runs"
+    report_whole "$tmp/t.jsonl"
+    grep -q "algorithm runs" "$tmp/t.jsonl.report"
 
     echo "==> trace smoke: parallel engine (--threads) emits shard telemetry"
     ./target/release/skyline compute "$tmp/ui.csv" --threads 3 \
         --trace "$tmp/p.jsonl" >/dev/null
-    ./target/release/skyline report "$tmp/p.jsonl" | grep -q "parallel engine"
+    report_whole "$tmp/p.jsonl"
+    grep -q "parallel engine" "$tmp/p.jsonl.report"
     grep -q '"type":"shard_scan"' "$tmp/p.jsonl"
     grep -q '"type":"parallel_merge"' "$tmp/p.jsonl"
 
@@ -114,6 +123,7 @@ if [[ "$quick" != "quick" ]]; then
     grep -q '"type":"request"' "$tmp/serve.jsonl"
     grep -q '"type":"cache_hit"' "$tmp/serve.jsonl"
     grep -q '"type":"delta_applied"' "$tmp/serve.jsonl"
+    report_whole "$tmp/serve.jsonl"
 
     echo "==> serve bench artefact (quick)"
     ./target/release/repro bench-json --serve --requests 3 \
@@ -178,10 +188,13 @@ if [[ "$quick" != "quick" ]]; then
     wait_exit "$cluster_pid"
     curl -sf -X POST "http://$shard0/shutdown" >/dev/null
     wait_exit "$shard0_pid"
+    report_whole "$tmp/shard0.jsonl"
     grep -q '"type":"shard_rpc"' "$tmp/cluster.jsonl"
     grep -q '"type":"cluster_merge"' "$tmp/cluster.jsonl"
+    report_whole "$tmp/cluster.jsonl"
     ./target/release/skyline report "$tmp/cluster.jsonl" --stages \
-        | grep -q 'dominant stage'
+        > "$tmp/cluster-stages.report"
+    grep -q 'dominant stage' "$tmp/cluster-stages.report"
 
     echo "==> cluster bench artefact (quick)"
     ./target/release/repro bench-json --cluster --requests 2 \

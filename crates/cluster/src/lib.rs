@@ -936,10 +936,34 @@ fn parse_insert_handles(resp: &ClientResponse) -> Result<Vec<u32>, String> {
         .collect()
 }
 
-/// Fan out one logical insert: POST each shard its slice of rows,
-/// recording successes into `state` (and the manifest). Returns an
-/// error response naming the failed shards, if any — successes are
-/// *kept*: the registry must reflect what the shards now hold.
+/// `{"rows": [...]}` bodies of at most `max_body` bytes that carry
+/// `rows` in order, each with its row count. A row too long for any
+/// body goes alone, for the shard to refuse.
+fn row_bodies(rows: &[&[f64]], max_body: usize) -> Vec<(usize, String)> {
+    let mut bodies: Vec<(usize, String)> = Vec::new();
+    for row in rows {
+        let row = json::row_json(row);
+        match bodies.last_mut() {
+            // A comma before the row, and `]}` to close the body.
+            Some((count, body)) if body.len() + row.len() + 3 <= max_body => {
+                body.push(',');
+                body.push_str(&row);
+                *count += 1;
+            }
+            _ => bodies.push((1, format!("{{\"rows\":[{row}"))),
+        }
+    }
+    for (_, body) in &mut bodies {
+        body.push_str("]}");
+    }
+    bodies
+}
+
+/// Fan out one logical insert: POST each shard its slice of rows, in
+/// bodies within `max_body`, recording each body's rows into `state`
+/// (and the manifest) as the shard acknowledges them. Returns an error
+/// response naming the failed shards, if any — successes are *kept*:
+/// the registry must reflect what the shards now hold.
 fn fan_out_insert(
     shared: &Shared,
     name: &str,
@@ -948,14 +972,13 @@ fn fan_out_insert(
     version: u64,
 ) -> Result<(), Response> {
     let path = format!("/datasets/{}/points", encode_component(name));
-    let results = scatter(groups.len(), |s| {
+    let state = Mutex::new(state);
+    let failures: Vec<String> = scatter(groups.len(), |s| {
         let (globals, rows) = &groups[s];
-        if globals.is_empty() {
-            return None;
-        }
-        let body = format!("{{\"rows\":{}}}", json::rows_json(rows.iter().copied()));
-        Some(
-            shard_rpc(
+        let mut landed = 0;
+        for (count, body) in row_bodies(rows, shared.front.max_body) {
+            let chunk = &globals[landed..landed + count];
+            let outcome = shard_rpc(
                 shared,
                 s,
                 "POST",
@@ -964,49 +987,38 @@ fn fan_out_insert(
                 body.as_bytes(),
                 None,
                 None,
-            )
-            .map(|(resp, _)| resp),
-        )
-    });
-    let mut failures: Vec<String> = Vec::new();
-    for (s, outcome) in results.into_iter().enumerate() {
-        let Some(outcome) = outcome else { continue };
-        let handles = match outcome {
-            Ok(resp) if resp.status == 200 => match parse_insert_handles(&resp) {
-                Ok(h) if h.len() == groups[s].0.len() => h,
-                Ok(_) => {
-                    failures.push(format!("shard {s} acknowledged the wrong row count"));
-                    continue;
+            );
+            let handles = match outcome {
+                Ok((resp, _)) if resp.status == 200 => match parse_insert_handles(&resp) {
+                    Ok(h) if h.len() == count => h,
+                    Ok(_) => return Some(format!("shard {s} acknowledged the wrong row count")),
+                    Err(e) => return Some(format!("shard {s}: {e}")),
+                },
+                Ok((resp, _)) => return Some(format!("shard {s} answered {}", resp.status)),
+                Err(e) => return Some(format!("shard {s} unreachable: {e}")),
+            };
+            landed += count;
+            let mut state = state.lock().unwrap_or_else(|e| e.into_inner());
+            state.record_insert(s, chunk, &handles);
+            if let Some(m) = &shared.manifest {
+                let mut m = m.lock().unwrap_or_else(|e| e.into_inner());
+                if let Err(e) = m.append_insert(name, version, s, chunk, &handles) {
+                    return Some(format!("manifest write failed: {e}"));
                 }
-                Err(e) => {
-                    failures.push(format!("shard {s}: {e}"));
-                    continue;
-                }
-            },
-            Ok(resp) => {
-                failures.push(format!("shard {s} answered {}", resp.status));
-                continue;
-            }
-            Err(e) => {
-                failures.push(format!("shard {s} unreachable: {e}"));
-                continue;
-            }
-        };
-        state.record_insert(s, &groups[s].0, &handles);
-        if let Some(m) = &shared.manifest {
-            let mut m = m.lock().unwrap_or_else(|e| e.into_inner());
-            if let Err(e) = m.append_insert(name, version, s, &groups[s].0, &handles) {
-                failures.push(format!("manifest write failed: {e}"));
             }
         }
-    }
+        None
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     if failures.is_empty() {
         Ok(())
     } else {
         Err(Response::error(
             502,
             &format!(
-                "insert into {name:?} partially failed ({}); successful shards were kept",
+                "insert into {name:?} partially failed ({}); acknowledged rows were kept",
                 failures.join("; ")
             ),
         ))

@@ -30,11 +30,29 @@
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
+use std::net::SocketAddr;
 use std::path::Path;
 
-use skyline_obs::json::{ObjectWriter, Value};
+use skyline_obs::json::Value;
 
 use crate::shard_map::DatasetState;
+
+skyline_obs::json_records! {
+    /// One manifest line; the `Manifest::append_*` methods write each
+    /// kind.
+    enum Record: "op" {
+        Create = "create" { name: String, dims: usize, shards: usize },
+        Insert = "insert" {
+            name: String,
+            version: u64,
+            shard: usize,
+            globals: Vec<u64>,
+            handles: Vec<u32>,
+        },
+        Remove = "remove" { name: String, version: u64, globals: Vec<u64> },
+        Promote = "promote" { shard: usize, epoch: u64, primary: SocketAddr },
+    }
+}
 
 /// Append handle over the manifest file.
 #[derive(Debug)]
@@ -54,7 +72,7 @@ pub struct Replay {
     pub epochs: Vec<u64>,
     /// Latest promoted primary per shard, from the highest-epoch
     /// `promote` record; `None` = the boot-config primary still stands.
-    pub primaries: Vec<Option<std::net::SocketAddr>>,
+    pub primaries: Vec<Option<SocketAddr>>,
 }
 
 impl Manifest {
@@ -78,8 +96,8 @@ impl Manifest {
         self.bytes
     }
 
-    fn append(&mut self, line: String) -> io::Result<()> {
-        let mut buf = line.into_bytes();
+    fn append(&mut self, record: Record) -> io::Result<()> {
+        let mut buf = record.to_json_with(|_| {}).into_bytes();
         buf.push(b'\n');
         self.file.write_all(&buf)?;
         self.file.flush()?;
@@ -90,12 +108,11 @@ impl Manifest {
 
     /// Log a dataset creation.
     pub fn append_create(&mut self, name: &str, dims: usize, shards: usize) -> io::Result<()> {
-        let mut w = ObjectWriter::new();
-        w.str_field("op", "create")
-            .str_field("name", name)
-            .u64_field("dims", dims as u64)
-            .u64_field("shards", shards as u64);
-        self.append(w.finish())
+        self.append(Record::Create {
+            name: name.to_string(),
+            dims,
+            shards,
+        })
     }
 
     /// Log one shard's slice of an acknowledged insert (`globals` and
@@ -108,25 +125,22 @@ impl Manifest {
         globals: &[u64],
         handles: &[u32],
     ) -> io::Result<()> {
-        let handles64: Vec<u64> = handles.iter().map(|&h| h as u64).collect();
-        let mut w = ObjectWriter::new();
-        w.str_field("op", "insert")
-            .str_field("name", name)
-            .u64_field("version", version)
-            .u64_field("shard", shard as u64)
-            .u64_array_field("globals", globals)
-            .u64_array_field("handles", &handles64);
-        self.append(w.finish())
+        self.append(Record::Insert {
+            name: name.to_string(),
+            version,
+            shard,
+            globals: globals.to_vec(),
+            handles: handles.to_vec(),
+        })
     }
 
     /// Log an acknowledged removal of these global ids.
     pub fn append_remove(&mut self, name: &str, version: u64, globals: &[u64]) -> io::Result<()> {
-        let mut w = ObjectWriter::new();
-        w.str_field("op", "remove")
-            .str_field("name", name)
-            .u64_field("version", version)
-            .u64_array_field("globals", globals);
-        self.append(w.finish())
+        self.append(Record::Remove {
+            name: name.to_string(),
+            version,
+            globals: globals.to_vec(),
+        })
     }
 
     /// Log a promotion: `primary` now owns `shard` under fencing
@@ -137,33 +151,14 @@ impl Manifest {
         &mut self,
         shard: usize,
         epoch: u64,
-        primary: &std::net::SocketAddr,
+        primary: &SocketAddr,
     ) -> io::Result<()> {
-        let mut w = ObjectWriter::new();
-        w.str_field("op", "promote")
-            .u64_field("shard", shard as u64)
-            .u64_field("epoch", epoch)
-            .str_field("primary", &primary.to_string());
-        self.append(w.finish())
-    }
-}
-
-fn field_u64(v: &Value, key: &str, line_no: usize) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("manifest line {line_no}: missing numeric {key:?}"))
-}
-
-fn field_u64_array(v: &Value, key: &str, line_no: usize) -> Result<Vec<u64>, String> {
-    v.get(key)
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("manifest line {line_no}: missing array {key:?}"))?
-        .iter()
-        .map(|x| {
-            x.as_u64()
-                .ok_or_else(|| format!("manifest line {line_no}: {key:?} entry is not an id"))
+        self.append(Record::Promote {
+            shard,
+            epoch,
+            primary: *primary,
         })
-        .collect()
+    }
 }
 
 /// Replay manifest `text` into per-dataset state.
@@ -171,96 +166,76 @@ fn replay(text: &str, shard_count: usize) -> Result<Replay, String> {
     let mut datasets: HashMap<String, DatasetState> = HashMap::new();
     let mut records = 0u64;
     let mut epochs = vec![0u64; shard_count];
-    let mut primaries: Vec<Option<std::net::SocketAddr>> = vec![None; shard_count];
+    let mut primaries: Vec<Option<SocketAddr>> = vec![None; shard_count];
     for (i, line) in text.lines().enumerate() {
         let line_no = i + 1;
         if line.trim().is_empty() {
             continue;
         }
         let v = Value::parse(line).map_err(|e| format!("manifest line {line_no}: {e}"))?;
-        let op = v
-            .get("op")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("manifest line {line_no}: missing \"op\""))?;
-        // Routing records carry no dataset name — handle them before
-        // the name extraction below.
-        if op == "promote" {
-            let shard = field_u64(&v, "shard", line_no)? as usize;
-            if shard >= shard_count {
-                return Err(format!(
-                    "manifest line {line_no}: shard {shard} out of range"
-                ));
+        let record = Record::read(&v)
+            .ok_or_else(|| format!("manifest line {line_no}: not a manifest record"))?;
+        let in_range = |shard: usize| {
+            (shard < shard_count)
+                .then_some(shard)
+                .ok_or_else(|| format!("manifest line {line_no}: shard {shard} out of range"))
+        };
+        match record {
+            Record::Promote {
+                shard,
+                epoch,
+                primary,
+            } => {
+                let shard = in_range(shard)?;
+                if epoch >= epochs[shard] {
+                    epochs[shard] = epoch;
+                    primaries[shard] = Some(primary);
+                }
             }
-            let epoch = field_u64(&v, "epoch", line_no)?;
-            let primary = v
-                .get("primary")
-                .and_then(Value::as_str)
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| {
-                    format!("manifest line {line_no}: missing or unparseable \"primary\"")
-                })?;
-            if epoch >= epochs[shard] {
-                epochs[shard] = epoch;
-                primaries[shard] = Some(primary);
-            }
-            records += 1;
-            continue;
-        }
-        let name = v
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("manifest line {line_no}: missing \"name\""))?;
-        match op {
-            "create" => {
-                let dims = field_u64(&v, "dims", line_no)? as usize;
-                let shards = field_u64(&v, "shards", line_no)? as usize;
+            Record::Create { name, dims, shards } => {
                 if shards != shard_count {
                     return Err(format!(
                         "manifest line {line_no}: dataset {name:?} was created over {shards} \
                          shards but this cluster has {shard_count}; resharding is not supported"
                     ));
                 }
-                if datasets.contains_key(name) {
+                if datasets.contains_key(&name) {
                     return Err(format!(
                         "manifest line {line_no}: duplicate create {name:?}"
                     ));
                 }
-                datasets.insert(name.to_string(), DatasetState::new(dims, shard_count));
+                datasets.insert(name, DatasetState::new(dims, shard_count));
             }
-            "insert" => {
-                let version = field_u64(&v, "version", line_no)?;
-                let shard = field_u64(&v, "shard", line_no)? as usize;
-                if shard >= shard_count {
-                    return Err(format!(
-                        "manifest line {line_no}: shard {shard} out of range"
-                    ));
-                }
-                let globals = field_u64_array(&v, "globals", line_no)?;
-                let handles: Vec<u32> = field_u64_array(&v, "handles", line_no)?
-                    .into_iter()
-                    .map(|h| h as u32)
-                    .collect();
+            Record::Insert {
+                name,
+                version,
+                shard,
+                globals,
+                handles,
+            } => {
+                let shard = in_range(shard)?;
                 if globals.len() != handles.len() {
                     return Err(format!(
                         "manifest line {line_no}: globals/handles length mismatch"
                     ));
                 }
-                let state = datasets.get_mut(name).ok_or_else(|| {
+                let state = datasets.get_mut(&name).ok_or_else(|| {
                     format!("manifest line {line_no}: insert into unknown {name:?}")
                 })?;
                 state.record_insert(shard, &globals, &handles);
                 state.version = state.version.max(version);
             }
-            "remove" => {
-                let version = field_u64(&v, "version", line_no)?;
-                let globals = field_u64_array(&v, "globals", line_no)?;
-                let state = datasets.get_mut(name).ok_or_else(|| {
+            Record::Remove {
+                name,
+                version,
+                globals,
+            } => {
+                let state = datasets.get_mut(&name).ok_or_else(|| {
                     format!("manifest line {line_no}: remove from unknown {name:?}")
                 })?;
                 state.record_remove(&globals);
                 state.version = state.version.max(version);
             }
-            other => return Err(format!("manifest line {line_no}: unknown op {other:?}")),
         }
         records += 1;
     }
@@ -336,6 +311,32 @@ mod tests {
         assert_eq!(replay.records, 3);
         assert_eq!(replay.epochs, vec![0, 2]);
         assert_eq!(replay.primaries, vec![None, Some(b)]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn records_are_written_byte_for_byte_as_before() {
+        let path = temp_path("golden");
+        let _ = std::fs::remove_file(&path);
+        let name = "ho\"tel\\s";
+        {
+            let (mut m, _) = Manifest::open(&path, 2).unwrap();
+            m.append_create(name, 4, 2).unwrap();
+            m.append_insert(name, 2, 1, &[0, 3], &[0, 1]).unwrap();
+            m.append_remove(name, 3, &[3]).unwrap();
+            m.append_promote(1, 2, &"127.0.0.1:9103".parse().unwrap())
+                .unwrap();
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            text.lines().collect::<Vec<_>>(),
+            [
+                r#"{"op":"create","name":"ho\"tel\\s","dims":4,"shards":2}"#,
+                r#"{"op":"insert","name":"ho\"tel\\s","version":2,"shard":1,"globals":[0,3],"handles":[0,1]}"#,
+                r#"{"op":"remove","name":"ho\"tel\\s","version":3,"globals":[3]}"#,
+                r#"{"op":"promote","shard":1,"epoch":2,"primary":"127.0.0.1:9103"}"#,
+            ]
+        );
         let _ = std::fs::remove_file(&path);
     }
 

@@ -4,840 +4,337 @@
 //! discriminator; the recorders add two span record types
 //! (`span_start` / `span_end`) on top.
 
-use crate::histogram::{Histogram, BUCKETS};
-use crate::json::{ObjectWriter, Value};
+use crate::histogram::Histogram;
+use crate::json::Value;
 
-/// A structured telemetry event emitted by an instrumented algorithm.
-// Events are emitted at most once per phase or per Merge pivot, never in
-// per-point loops, so `TrieStats`' two inline histograms (the size-skew
-// clippy flags) are cheaper than boxing them would be.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
-    /// One algorithm run is starting.
-    RunStart {
-        /// Algorithm display name, e.g. `"SFS-SUBSET"`.
-        algorithm: String,
-        /// Number of input points.
-        points: u64,
-        /// Input dimensionality.
-        dims: u64,
-    },
-    /// One iteration of the Merge phase (Algorithm 1) finished.
-    MergeIteration {
-        /// 0-based iteration index.
-        iteration: u64,
-        /// Point id of the pivot chosen this iteration.
-        pivot: u64,
-        /// Points removed (dominated in the full space) this iteration.
-        pruned: u64,
-        /// Points still alive after this iteration.
-        survivors: u64,
-        /// Points whose maximum dominating subspace did not change —
-        /// the stability count that drives the σ termination rule.
-        stable: u64,
-        /// Survivor counts per subspace size: `subspace_hist[k]` = number
-        /// of survivors whose maximum dominating subspace has size `k+1`.
-        /// These are exactly the buckets the σ stability rule compares.
-        subspace_hist: Vec<u64>,
-    },
-    /// Subset-index statistics for one run, taken after the scan phase.
-    TrieStats {
-        /// Total trie nodes visited across the run's container queries.
-        nodes: u64,
-        /// Points stored into the container (`put` operations).
-        entries: u64,
-        /// Distribution of query recursion depth.
-        depth: Histogram,
-        /// Distribution of candidates returned per container query.
-        candidates: Histogram,
-    },
-    /// One shard of a parallel engine finished its local skyline.
-    ///
-    /// Emitted once per shard after the workers join; `elapsed_us` is the
-    /// worker's own wall-clock, measured inside the worker thread, so the
-    /// trace stays exact even though the event is written afterwards.
-    ShardScan {
-        /// 0-based shard index.
-        shard: u64,
-        /// First point id of the shard (inclusive).
-        lo: u64,
-        /// One past the last point id of the shard.
-        hi: u64,
-        /// Local skyline cardinality of the shard.
-        skyline_size: u64,
-        /// Dominance tests the worker performed.
-        dominance_tests: u64,
-        /// Worker wall-clock in microseconds.
-        elapsed_us: u64,
-    },
-    /// The cross-shard merge of a parallel engine finished.
-    ParallelMerge {
-        /// Local skyline sizes, one entry per shard.
-        shard_skylines: Vec<u64>,
-        /// Size of the merged candidate union fed into the final pass.
-        candidates: u64,
-        /// Global skyline cardinality after the merge.
-        skyline_size: u64,
-        /// Dominance tests performed by the merge pass alone.
-        dominance_tests: u64,
-    },
-    /// One HTTP request handled by `skyline-serve`.
-    Request {
-        /// Request method (`GET`, `POST`, `DELETE`).
-        method: String,
-        /// Normalised endpoint (path pattern, e.g. `/skyline` or
-        /// `/datasets/{name}/points`), not the raw request path.
-        endpoint: String,
-        /// HTTP status code of the response.
-        status: u64,
-        /// End-to-end handling time in microseconds.
-        elapsed_us: u64,
-        /// Trace id inherited from `X-Skyline-Trace` (or minted by the
-        /// coordinator); empty when the request was untraced.
-        trace: String,
-    },
-    /// A skyline query was answered from the server's result cache.
-    CacheHit {
-        /// Dataset name the cached result belongs to.
-        dataset: String,
-        /// Algorithm the cached result was computed with.
-        algorithm: String,
-        /// Dataset content version the result was computed at.
-        version: u64,
-        /// Trace id of the request that hit; empty when untraced.
-        trace: String,
-    },
-    /// A streaming mutation produced a skyline delta that was applied to
-    /// the server's state — and, where possible, patched forward into
-    /// cached results instead of invalidating them.
-    DeltaApplied {
-        /// Dataset name the mutation targeted.
-        dataset: String,
-        /// Content version before the mutation batch.
-        base_version: u64,
-        /// Content version after the mutation batch.
-        version: u64,
-        /// Points that entered the skyline.
-        entered: u64,
-        /// Points that left the skyline.
-        left: u64,
-        /// Cache entries patched forward to `version`.
-        cache_patched: u64,
-        /// Cache entries the delta could not describe and dropped.
-        cache_invalidated: u64,
-        /// Trace id of the mutating request; empty when untraced.
-        trace: String,
-    },
-    /// A request was shed by the server's overload gate (503).
-    Shed {
-        /// Normalised endpoint the shed request targeted.
-        endpoint: String,
-    },
-    /// A skyline query was cancelled at its client-supplied deadline.
-    DeadlineExceeded {
-        /// Dataset name the query targeted.
-        dataset: String,
-        /// Algorithm the query requested.
-        algorithm: String,
-        /// The deadline the client asked for, in milliseconds.
-        deadline_ms: u64,
-    },
-    /// A request handler panicked and was isolated into a 500.
-    HandlerPanic {
-        /// Normalised endpoint whose handler panicked.
-        endpoint: String,
-    },
-    /// One dataset was recovered from its WAL/snapshot at boot.
-    Recovery {
-        /// Dataset name.
-        dataset: String,
-        /// WAL records replayed on top of the snapshot.
-        replayed: u64,
-        /// Content version the dataset recovered to.
-        version: u64,
-    },
-    /// One change-feed cursor read (`GET /datasets/{name}/changes`)
-    /// was answered, including long-poll heartbeats.
-    FeedPoll {
-        /// Dataset the feed belongs to.
-        dataset: String,
-        /// Cursor the consumer presented.
-        since: u64,
-        /// Records returned in this batch.
-        returned: u64,
-        /// Cursor after this batch (`== since` on a heartbeat).
-        next: u64,
-        /// The dataset's latest version at read time.
-        latest: u64,
-        /// Whether this was a long-poll timeout heartbeat.
-        heartbeat: bool,
-    },
-    /// A follower applied one batch of replicated change records.
-    ReplicaApply {
-        /// Dataset the records belong to.
-        dataset: String,
-        /// Follower content version after the batch.
-        version: u64,
-        /// Records applied in this batch (duplicates excluded).
-        records: u64,
-        /// Versions the follower still trailed the primary by after
-        /// this batch.
-        lag: u64,
-    },
-    /// A follower discarded a dataset and resynced from a primary
-    /// snapshot (initial sync, stale cursor, or divergence).
-    ReplicaResync {
-        /// Dataset that was resynced.
-        dataset: String,
-        /// Content version of the snapshot the follower installed.
-        version: u64,
-        /// Why the follower resynced rather than applying the feed.
-        reason: String,
-    },
-    /// One RPC from the cluster coordinator to a shard node finished
-    /// (successfully or not).
-    ShardRpc {
-        /// 0-based shard index in the coordinator's shard list.
-        shard: u64,
-        /// Normalised endpoint on the shard (e.g. `/skyline`).
-        endpoint: String,
-        /// HTTP status the shard answered with; `0` when the call
-        /// failed at the transport level (connect/read error).
-        status: u64,
-        /// Attempts the retrying client made, including the first.
-        attempts: u64,
-        /// End-to-end RPC time across all attempts, microseconds.
-        elapsed_us: u64,
-        /// Trace id the coordinator propagated to the shard; empty when
-        /// the RPC was untraced.
-        trace: String,
-    },
-    /// A node accepted a `POST /promote` and became the primary for a
-    /// new fencing epoch.
-    Promotion {
-        /// Fencing epoch the node now serves under.
-        epoch: u64,
-        /// Datasets the node inherited from its replication feed.
-        datasets: u64,
-        /// Summed content version across those datasets at promotion.
-        version: u64,
-    },
-    /// A node stepped down into follower mode, either told to by the
-    /// coordinator or after discovering a higher fencing epoch.
-    Demotion {
-        /// Fencing epoch the node demoted under.
-        epoch: u64,
-        /// Address of the primary the node now follows.
-        primary: String,
-    },
-    /// A request carrying a mismatched fencing epoch was refused with
-    /// `409 Fenced`.
-    FencedRequest {
-        /// Endpoint the stale request hit.
-        endpoint: String,
-        /// Epoch the request was stamped with.
-        request_epoch: u64,
-        /// Epoch this node is serving under.
-        node_epoch: u64,
-    },
-    /// The coordinator's failure detector missed a health probe and
-    /// raised (or advanced) suspicion of a shard primary.
-    FailoverSuspect {
-        /// 0-based shard index of the suspected primary.
-        shard: u64,
-        /// Address of the suspected primary.
-        addr: String,
-        /// Consecutive probe misses so far.
-        misses: u64,
-    },
-    /// The coordinator confirmed a primary dead and promoted the most
-    /// caught-up replica under a new fencing epoch.
-    Failover {
-        /// 0-based shard index that failed over.
-        shard: u64,
-        /// Fencing epoch the new primary serves under.
-        epoch: u64,
-        /// Address of the dead primary.
-        old_primary: String,
-        /// Address of the promoted replica.
-        new_primary: String,
-    },
-    /// Stage-attributed breakdown of one traced request: contiguous
-    /// stage durations that sum to (within scheduling noise of) the
-    /// request wall-clock, stitched by the coordinator from its own
-    /// timer plus the `X-Skyline-Stage-Times` each shard returned.
-    /// Also the record shape of the slow-query log.
-    StageBreakdown {
-        /// Trace id the breakdown belongs to.
-        trace: String,
-        /// Normalised endpoint the request hit.
-        endpoint: String,
-        /// Measured wall-clock of the whole request, microseconds.
-        total_us: u64,
-        /// Ordered `(stage, microseconds)` pairs. Top-level stage names
-        /// are contiguous and sum to ≈`total_us`; names containing a
-        /// `.` (e.g. `shard1.compute`) are overlapping per-leg detail
-        /// and excluded from that sum.
-        stages: Vec<(String, u64)>,
-        /// Straggler attribution, e.g. `"shard2"` — the leg that
-        /// bounded `shard_wait`. Empty for single-process breakdowns.
-        straggler: String,
-    },
-    /// The coordinator finished a cross-shard scatter-gather merge.
-    ClusterMerge {
-        /// Shards that contributed a local skyline.
-        shards: u64,
-        /// Shards that failed and were left out (`partial` response).
-        missing: u64,
-        /// Union of per-shard skyline candidates fed into the merge.
-        candidates: u64,
-        /// Global skyline cardinality after the merge.
-        skyline_size: u64,
-        /// Dominance tests the coordinator-side merge performed.
-        dominance_tests: u64,
-        /// Merge wall-clock, microseconds (excluding shard RPCs).
-        elapsed_us: u64,
-    },
-    /// One algorithm run finished.
-    RunSummary {
-        /// Algorithm display name.
-        algorithm: String,
-        /// Skyline cardinality.
-        skyline_size: u64,
-        /// Full-space dominance tests performed.
-        dominance_tests: u64,
-        /// Container queries issued during the scan phase.
-        container_gets: u64,
-        /// Wall-clock time of the whole run in microseconds.
-        elapsed_us: u64,
-    },
-}
-
-fn histogram_json(h: &Histogram) -> String {
-    let mut w = ObjectWriter::new();
-    w.u64_field("count", h.count())
-        .u64_field("sum", h.sum())
-        .u64_field("min", h.min())
-        .u64_field("max", h.max())
-        .u64_array_field("buckets", h.buckets());
-    w.finish()
-}
-
-fn histogram_from(v: &Value) -> Option<Histogram> {
-    let count = v.get("count")?.as_u64()?;
-    let sum = v.get("sum")?.as_u64()?;
-    let min = v.get("min")?.as_u64()?;
-    let max = v.get("max")?.as_u64()?;
-    let raw = v.get("buckets")?.as_arr()?;
-    if raw.len() != BUCKETS {
-        return None;
+crate::json_records! {
+    /// A structured telemetry event emitted by an instrumented algorithm.
+    // Events are emitted at most once per phase or per Merge pivot, never in
+    // per-point loops, so `TrieStats`' two inline histograms (the size-skew
+    // clippy flags) are cheaper than boxing them would be.
+    #[allow(clippy::large_enum_variant)]
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Event: "type" {
+        /// One algorithm run is starting.
+        RunStart = "run_start" {
+            /// Algorithm display name, e.g. `"SFS-SUBSET"`.
+            algorithm: String,
+            /// Number of input points.
+            points: u64,
+            /// Input dimensionality.
+            dims: u64,
+        },
+        /// One iteration of the Merge phase (Algorithm 1) finished.
+        MergeIteration = "merge_iteration" {
+            /// 0-based iteration index.
+            iteration: u64,
+            /// Point id of the pivot chosen this iteration.
+            pivot: u64,
+            /// Points removed (dominated in the full space) this iteration.
+            pruned: u64,
+            /// Points still alive after this iteration.
+            survivors: u64,
+            /// Points whose maximum dominating subspace did not change —
+            /// the stability count that drives the σ termination rule.
+            stable: u64,
+            /// Survivor counts per subspace size: `subspace_hist[k]` = number
+            /// of survivors whose maximum dominating subspace has size `k+1`.
+            /// These are exactly the buckets the σ stability rule compares.
+            subspace_hist: Vec<u64>,
+        },
+        /// Subset-index statistics for one run, taken after the scan phase.
+        TrieStats = "trie_stats" {
+            /// Total trie nodes visited across the run's container queries.
+            nodes: u64,
+            /// Points stored into the container (`put` operations).
+            entries: u64,
+            /// Distribution of query recursion depth.
+            depth: Histogram,
+            /// Distribution of candidates returned per container query.
+            candidates: Histogram,
+        },
+        /// One shard of a parallel engine finished its local skyline.
+        ///
+        /// Emitted once per shard after the workers join; `elapsed_us` is the
+        /// worker's own wall-clock, measured inside the worker thread, so the
+        /// trace stays exact even though the event is written afterwards.
+        ShardScan = "shard_scan" {
+            /// 0-based shard index.
+            shard: u64,
+            /// First point id of the shard (inclusive).
+            lo: u64,
+            /// One past the last point id of the shard.
+            hi: u64,
+            /// Local skyline cardinality of the shard.
+            skyline_size: u64,
+            /// Dominance tests the worker performed.
+            dominance_tests: u64,
+            /// Worker wall-clock in microseconds.
+            elapsed_us: u64,
+        },
+        /// The cross-shard merge of a parallel engine finished.
+        ParallelMerge = "parallel_merge" {
+            /// Local skyline sizes, one entry per shard.
+            shard_skylines: Vec<u64>,
+            /// Size of the merged candidate union fed into the final pass.
+            candidates: u64,
+            /// Global skyline cardinality after the merge.
+            skyline_size: u64,
+            /// Dominance tests performed by the merge pass alone.
+            dominance_tests: u64,
+        },
+        /// One HTTP request handled by `skyline-serve`.
+        Request = "request" {
+            /// Request method (`GET`, `POST`, `DELETE`).
+            method: String,
+            /// Normalised endpoint (path pattern, e.g. `/skyline` or
+            /// `/datasets/{name}/points`), not the raw request path.
+            endpoint: String,
+            /// HTTP status code of the response.
+            status: u64,
+            /// End-to-end handling time in microseconds.
+            elapsed_us: u64,
+            /// Trace id inherited from `X-Skyline-Trace` (or minted by the
+            /// coordinator); empty when the request was untraced.
+            trace: String = "",
+        },
+        /// A skyline query was answered from the server's result cache.
+        CacheHit = "cache_hit" {
+            /// Dataset name the cached result belongs to.
+            dataset: String,
+            /// Algorithm the cached result was computed with.
+            algorithm: String,
+            /// Dataset content version the result was computed at.
+            version: u64,
+            /// Trace id of the request that hit; empty when untraced.
+            trace: String = "",
+        },
+        /// A streaming mutation produced a skyline delta that was applied to
+        /// the server's state — and, where possible, patched forward into
+        /// cached results instead of invalidating them.
+        DeltaApplied = "delta_applied" {
+            /// Dataset name the mutation targeted.
+            dataset: String,
+            /// Content version before the mutation batch.
+            base_version: u64,
+            /// Content version after the mutation batch.
+            version: u64,
+            /// Points that entered the skyline.
+            entered: u64,
+            /// Points that left the skyline.
+            left: u64,
+            /// Cache entries patched forward to `version`.
+            cache_patched: u64,
+            /// Cache entries the delta could not describe and dropped.
+            cache_invalidated: u64,
+            /// Trace id of the mutating request; empty when untraced.
+            trace: String = "",
+        },
+        /// A request was shed by the server's overload gate (503).
+        Shed = "shed" {
+            /// Normalised endpoint the shed request targeted.
+            endpoint: String,
+        },
+        /// A skyline query was cancelled at its client-supplied deadline.
+        DeadlineExceeded = "deadline_exceeded" {
+            /// Dataset name the query targeted.
+            dataset: String,
+            /// Algorithm the query requested.
+            algorithm: String,
+            /// The deadline the client asked for, in milliseconds.
+            deadline_ms: u64,
+        },
+        /// A request handler panicked and was isolated into a 500.
+        HandlerPanic = "handler_panic" {
+            /// Normalised endpoint whose handler panicked.
+            endpoint: String,
+        },
+        /// One dataset was recovered from its WAL/snapshot at boot.
+        Recovery = "recovery" {
+            /// Dataset name.
+            dataset: String,
+            /// WAL records replayed on top of the snapshot.
+            replayed: u64,
+            /// Content version the dataset recovered to.
+            version: u64,
+        },
+        /// One change-feed cursor read (`GET /datasets/{name}/changes`)
+        /// was answered, including long-poll heartbeats.
+        FeedPoll = "feed_poll" {
+            /// Dataset the feed belongs to.
+            dataset: String,
+            /// Cursor the consumer presented.
+            since: u64,
+            /// Records returned in this batch.
+            returned: u64,
+            /// Cursor after this batch (`== since` on a heartbeat).
+            next: u64,
+            /// The dataset's latest version at read time.
+            latest: u64,
+            /// Whether this was a long-poll timeout heartbeat.
+            heartbeat: bool,
+        },
+        /// A follower applied one batch of replicated change records.
+        ReplicaApply = "replica_apply" {
+            /// Dataset the records belong to.
+            dataset: String,
+            /// Follower content version after the batch.
+            version: u64,
+            /// Records applied in this batch (duplicates excluded).
+            records: u64,
+            /// Versions the follower still trailed the primary by after
+            /// this batch.
+            lag: u64,
+        },
+        /// A follower discarded a dataset and resynced from a primary
+        /// snapshot (initial sync, stale cursor, or divergence).
+        ReplicaResync = "replica_resync" {
+            /// Dataset that was resynced.
+            dataset: String,
+            /// Content version of the snapshot the follower installed.
+            version: u64,
+            /// Why the follower resynced rather than applying the feed.
+            reason: String,
+        },
+        /// One RPC from the cluster coordinator to a shard node finished
+        /// (successfully or not).
+        ShardRpc = "shard_rpc" {
+            /// 0-based shard index in the coordinator's shard list.
+            shard: u64,
+            /// Normalised endpoint on the shard (e.g. `/skyline`).
+            endpoint: String,
+            /// HTTP status the shard answered with; `0` when the call
+            /// failed at the transport level (connect/read error).
+            status: u64,
+            /// Attempts the retrying client made, including the first.
+            attempts: u64,
+            /// End-to-end RPC time across all attempts, microseconds.
+            elapsed_us: u64,
+            /// Trace id the coordinator propagated to the shard; empty when
+            /// the RPC was untraced.
+            trace: String = "",
+        },
+        /// A node accepted a `POST /promote` and became the primary for a
+        /// new fencing epoch.
+        Promotion = "promotion" {
+            /// Fencing epoch the node now serves under.
+            epoch: u64,
+            /// Datasets the node inherited from its replication feed.
+            datasets: u64,
+            /// Summed content version across those datasets at promotion.
+            version: u64,
+        },
+        /// A node stepped down into follower mode, either told to by the
+        /// coordinator or after discovering a higher fencing epoch.
+        Demotion = "demotion" {
+            /// Fencing epoch the node demoted under.
+            epoch: u64,
+            /// Address of the primary the node now follows.
+            primary: String,
+        },
+        /// A request carrying a mismatched fencing epoch was refused with
+        /// `409 Fenced`.
+        FencedRequest = "fenced_request" {
+            /// Endpoint the stale request hit.
+            endpoint: String,
+            /// Epoch the request was stamped with.
+            request_epoch: u64,
+            /// Epoch this node is serving under.
+            node_epoch: u64,
+        },
+        /// The coordinator's failure detector missed a health probe and
+        /// raised (or advanced) suspicion of a shard primary.
+        FailoverSuspect = "failover_suspect" {
+            /// 0-based shard index of the suspected primary.
+            shard: u64,
+            /// Address of the suspected primary.
+            addr: String,
+            /// Consecutive probe misses so far.
+            misses: u64,
+        },
+        /// The coordinator confirmed a primary dead and promoted the most
+        /// caught-up replica under a new fencing epoch.
+        Failover = "failover" {
+            /// 0-based shard index that failed over.
+            shard: u64,
+            /// Fencing epoch the new primary serves under.
+            epoch: u64,
+            /// Address of the dead primary.
+            old_primary: String,
+            /// Address of the promoted replica.
+            new_primary: String,
+        },
+        /// Stage-attributed breakdown of one traced request: contiguous
+        /// stage durations that sum to (within scheduling noise of) the
+        /// request wall-clock, stitched by the coordinator from its own
+        /// timer plus the `X-Skyline-Stage-Times` each shard returned.
+        /// Also the record shape of the slow-query log.
+        StageBreakdown = "stage_breakdown" {
+            /// Trace id the breakdown belongs to.
+            trace: String,
+            /// Normalised endpoint the request hit.
+            endpoint: String,
+            /// Measured wall-clock of the whole request, microseconds.
+            total_us: u64,
+            /// Ordered `(stage, microseconds)` pairs. Top-level stage names
+            /// are contiguous and sum to ≈`total_us`; names containing a
+            /// `.` (e.g. `shard1.compute`) are overlapping per-leg detail
+            /// and excluded from that sum.
+            stages: Vec<(String, u64)>,
+            /// Straggler attribution, e.g. `"shard2"` — the leg that
+            /// bounded `shard_wait`. Empty for single-process breakdowns.
+            straggler: String = "",
+        },
+        /// The coordinator finished a cross-shard scatter-gather merge.
+        ClusterMerge = "cluster_merge" {
+            /// Shards that contributed a local skyline.
+            shards: u64,
+            /// Shards that failed and were left out (`partial` response).
+            missing: u64,
+            /// Union of per-shard skyline candidates fed into the merge.
+            candidates: u64,
+            /// Global skyline cardinality after the merge.
+            skyline_size: u64,
+            /// Dominance tests the coordinator-side merge performed.
+            dominance_tests: u64,
+            /// Merge wall-clock, microseconds (excluding shard RPCs).
+            elapsed_us: u64,
+        },
+        /// One algorithm run finished.
+        RunSummary = "run_summary" {
+            /// Algorithm display name.
+            algorithm: String,
+            /// Skyline cardinality.
+            skyline_size: u64,
+            /// Full-space dominance tests performed.
+            dominance_tests: u64,
+            /// Container queries issued during the scan phase.
+            container_gets: u64,
+            /// Wall-clock time of the whole run in microseconds.
+            elapsed_us: u64,
+        },
     }
-    let mut buckets = [0u64; BUCKETS];
-    for (slot, val) in buckets.iter_mut().zip(raw) {
-        *slot = val.as_u64()?;
-    }
-    Some(Histogram::from_parts(buckets, count, sum, min, max))
-}
-
-fn u64_vec(v: &Value) -> Option<Vec<u64>> {
-    v.as_arr()?.iter().map(Value::as_u64).collect()
-}
-
-fn stages_json(stages: &[(String, u64)]) -> String {
-    let mut w = ObjectWriter::new();
-    for (name, us) in stages {
-        w.u64_field(name, *us);
-    }
-    w.finish()
-}
-
-fn stages_from(v: &Value) -> Option<Vec<(String, u64)>> {
-    match v {
-        Value::Obj(pairs) => pairs
-            .iter()
-            .map(|(k, val)| Some((k.clone(), val.as_u64()?)))
-            .collect(),
-        _ => None,
-    }
-}
-
-fn trace_tag(v: &Value) -> String {
-    v.get("trace")
-        .and_then(Value::as_str)
-        .unwrap_or("")
-        .to_string()
 }
 
 impl Event {
     /// The `"type"` discriminator this event serialises under.
     pub fn type_name(&self) -> &'static str {
-        match self {
-            Event::RunStart { .. } => "run_start",
-            Event::MergeIteration { .. } => "merge_iteration",
-            Event::TrieStats { .. } => "trie_stats",
-            Event::ShardScan { .. } => "shard_scan",
-            Event::ParallelMerge { .. } => "parallel_merge",
-            Event::Request { .. } => "request",
-            Event::CacheHit { .. } => "cache_hit",
-            Event::DeltaApplied { .. } => "delta_applied",
-            Event::Shed { .. } => "shed",
-            Event::DeadlineExceeded { .. } => "deadline_exceeded",
-            Event::HandlerPanic { .. } => "handler_panic",
-            Event::Recovery { .. } => "recovery",
-            Event::FeedPoll { .. } => "feed_poll",
-            Event::ReplicaApply { .. } => "replica_apply",
-            Event::ReplicaResync { .. } => "replica_resync",
-            Event::ShardRpc { .. } => "shard_rpc",
-            Event::Promotion { .. } => "promotion",
-            Event::Demotion { .. } => "demotion",
-            Event::FencedRequest { .. } => "fenced_request",
-            Event::FailoverSuspect { .. } => "failover_suspect",
-            Event::Failover { .. } => "failover",
-            Event::StageBreakdown { .. } => "stage_breakdown",
-            Event::ClusterMerge { .. } => "cluster_merge",
-            Event::RunSummary { .. } => "run_summary",
-        }
+        self.tag()
     }
 
     /// Serialise to one JSON-lines record (no trailing newline).
     /// `ts_us` is the microsecond offset from the start of the trace.
     pub fn to_json(&self, ts_us: u64) -> String {
-        let mut w = ObjectWriter::new();
-        w.str_field("type", self.type_name())
-            .u64_field("ts_us", ts_us);
-        match self {
-            Event::RunStart {
-                algorithm,
-                points,
-                dims,
-            } => {
-                w.str_field("algorithm", algorithm)
-                    .u64_field("points", *points)
-                    .u64_field("dims", *dims);
-            }
-            Event::MergeIteration {
-                iteration,
-                pivot,
-                pruned,
-                survivors,
-                stable,
-                subspace_hist,
-            } => {
-                w.u64_field("iteration", *iteration)
-                    .u64_field("pivot", *pivot)
-                    .u64_field("pruned", *pruned)
-                    .u64_field("survivors", *survivors)
-                    .u64_field("stable", *stable)
-                    .u64_array_field("subspace_hist", subspace_hist);
-            }
-            Event::TrieStats {
-                nodes,
-                entries,
-                depth,
-                candidates,
-            } => {
-                w.u64_field("nodes", *nodes)
-                    .u64_field("entries", *entries)
-                    .raw_field("depth", &histogram_json(depth))
-                    .raw_field("candidates", &histogram_json(candidates));
-            }
-            Event::ShardScan {
-                shard,
-                lo,
-                hi,
-                skyline_size,
-                dominance_tests,
-                elapsed_us,
-            } => {
-                w.u64_field("shard", *shard)
-                    .u64_field("lo", *lo)
-                    .u64_field("hi", *hi)
-                    .u64_field("skyline_size", *skyline_size)
-                    .u64_field("dominance_tests", *dominance_tests)
-                    .u64_field("elapsed_us", *elapsed_us);
-            }
-            Event::ParallelMerge {
-                shard_skylines,
-                candidates,
-                skyline_size,
-                dominance_tests,
-            } => {
-                w.u64_array_field("shard_skylines", shard_skylines)
-                    .u64_field("candidates", *candidates)
-                    .u64_field("skyline_size", *skyline_size)
-                    .u64_field("dominance_tests", *dominance_tests);
-            }
-            Event::Request {
-                method,
-                endpoint,
-                status,
-                elapsed_us,
-                trace,
-            } => {
-                w.str_field("method", method)
-                    .str_field("endpoint", endpoint)
-                    .u64_field("status", *status)
-                    .u64_field("elapsed_us", *elapsed_us);
-                if !trace.is_empty() {
-                    w.str_field("trace", trace);
-                }
-            }
-            Event::CacheHit {
-                dataset,
-                algorithm,
-                version,
-                trace,
-            } => {
-                w.str_field("dataset", dataset)
-                    .str_field("algorithm", algorithm)
-                    .u64_field("version", *version);
-                if !trace.is_empty() {
-                    w.str_field("trace", trace);
-                }
-            }
-            Event::DeltaApplied {
-                dataset,
-                base_version,
-                version,
-                entered,
-                left,
-                cache_patched,
-                cache_invalidated,
-                trace,
-            } => {
-                w.str_field("dataset", dataset)
-                    .u64_field("base_version", *base_version)
-                    .u64_field("version", *version)
-                    .u64_field("entered", *entered)
-                    .u64_field("left", *left)
-                    .u64_field("cache_patched", *cache_patched)
-                    .u64_field("cache_invalidated", *cache_invalidated);
-                if !trace.is_empty() {
-                    w.str_field("trace", trace);
-                }
-            }
-            Event::Shed { endpoint } => {
-                w.str_field("endpoint", endpoint);
-            }
-            Event::DeadlineExceeded {
-                dataset,
-                algorithm,
-                deadline_ms,
-            } => {
-                w.str_field("dataset", dataset)
-                    .str_field("algorithm", algorithm)
-                    .u64_field("deadline_ms", *deadline_ms);
-            }
-            Event::HandlerPanic { endpoint } => {
-                w.str_field("endpoint", endpoint);
-            }
-            Event::Recovery {
-                dataset,
-                replayed,
-                version,
-            } => {
-                w.str_field("dataset", dataset)
-                    .u64_field("replayed", *replayed)
-                    .u64_field("version", *version);
-            }
-            Event::FeedPoll {
-                dataset,
-                since,
-                returned,
-                next,
-                latest,
-                heartbeat,
-            } => {
-                w.str_field("dataset", dataset)
-                    .u64_field("since", *since)
-                    .u64_field("returned", *returned)
-                    .u64_field("next", *next)
-                    .u64_field("latest", *latest)
-                    .bool_field("heartbeat", *heartbeat);
-            }
-            Event::ReplicaApply {
-                dataset,
-                version,
-                records,
-                lag,
-            } => {
-                w.str_field("dataset", dataset)
-                    .u64_field("version", *version)
-                    .u64_field("records", *records)
-                    .u64_field("lag", *lag);
-            }
-            Event::ReplicaResync {
-                dataset,
-                version,
-                reason,
-            } => {
-                w.str_field("dataset", dataset)
-                    .u64_field("version", *version)
-                    .str_field("reason", reason);
-            }
-            Event::ShardRpc {
-                shard,
-                endpoint,
-                status,
-                attempts,
-                elapsed_us,
-                trace,
-            } => {
-                w.u64_field("shard", *shard)
-                    .str_field("endpoint", endpoint)
-                    .u64_field("status", *status)
-                    .u64_field("attempts", *attempts)
-                    .u64_field("elapsed_us", *elapsed_us);
-                if !trace.is_empty() {
-                    w.str_field("trace", trace);
-                }
-            }
-            Event::Promotion {
-                epoch,
-                datasets,
-                version,
-            } => {
-                w.u64_field("epoch", *epoch)
-                    .u64_field("datasets", *datasets)
-                    .u64_field("version", *version);
-            }
-            Event::Demotion { epoch, primary } => {
-                w.u64_field("epoch", *epoch).str_field("primary", primary);
-            }
-            Event::FencedRequest {
-                endpoint,
-                request_epoch,
-                node_epoch,
-            } => {
-                w.str_field("endpoint", endpoint)
-                    .u64_field("request_epoch", *request_epoch)
-                    .u64_field("node_epoch", *node_epoch);
-            }
-            Event::FailoverSuspect {
-                shard,
-                addr,
-                misses,
-            } => {
-                w.u64_field("shard", *shard)
-                    .str_field("addr", addr)
-                    .u64_field("misses", *misses);
-            }
-            Event::Failover {
-                shard,
-                epoch,
-                old_primary,
-                new_primary,
-            } => {
-                w.u64_field("shard", *shard)
-                    .u64_field("epoch", *epoch)
-                    .str_field("old_primary", old_primary)
-                    .str_field("new_primary", new_primary);
-            }
-            Event::StageBreakdown {
-                trace,
-                endpoint,
-                total_us,
-                stages,
-                straggler,
-            } => {
-                w.str_field("trace", trace)
-                    .str_field("endpoint", endpoint)
-                    .u64_field("total_us", *total_us)
-                    .raw_field("stages", &stages_json(stages));
-                if !straggler.is_empty() {
-                    w.str_field("straggler", straggler);
-                }
-            }
-            Event::ClusterMerge {
-                shards,
-                missing,
-                candidates,
-                skyline_size,
-                dominance_tests,
-                elapsed_us,
-            } => {
-                w.u64_field("shards", *shards)
-                    .u64_field("missing", *missing)
-                    .u64_field("candidates", *candidates)
-                    .u64_field("skyline_size", *skyline_size)
-                    .u64_field("dominance_tests", *dominance_tests)
-                    .u64_field("elapsed_us", *elapsed_us);
-            }
-            Event::RunSummary {
-                algorithm,
-                skyline_size,
-                dominance_tests,
-                container_gets,
-                elapsed_us,
-            } => {
-                w.str_field("algorithm", algorithm)
-                    .u64_field("skyline_size", *skyline_size)
-                    .u64_field("dominance_tests", *dominance_tests)
-                    .u64_field("container_gets", *container_gets)
-                    .u64_field("elapsed_us", *elapsed_us);
-            }
-        }
-        w.finish()
+        self.to_json_with(|w| {
+            w.u64_field("ts_us", ts_us);
+        })
     }
 
     /// Reconstruct an event from a parsed trace record. Returns `None`
     /// for span records and unknown types — callers treat those
-    /// separately.
+    /// separately — and for a missing or ill-typed field.
     pub fn from_value(v: &Value) -> Option<Event> {
-        match v.get("type")?.as_str()? {
-            "run_start" => Some(Event::RunStart {
-                algorithm: v.get("algorithm")?.as_str()?.to_string(),
-                points: v.get("points")?.as_u64()?,
-                dims: v.get("dims")?.as_u64()?,
-            }),
-            "merge_iteration" => Some(Event::MergeIteration {
-                iteration: v.get("iteration")?.as_u64()?,
-                pivot: v.get("pivot")?.as_u64()?,
-                pruned: v.get("pruned")?.as_u64()?,
-                survivors: v.get("survivors")?.as_u64()?,
-                stable: v.get("stable")?.as_u64()?,
-                subspace_hist: u64_vec(v.get("subspace_hist")?)?,
-            }),
-            "trie_stats" => Some(Event::TrieStats {
-                nodes: v.get("nodes")?.as_u64()?,
-                entries: v.get("entries")?.as_u64()?,
-                depth: histogram_from(v.get("depth")?)?,
-                candidates: histogram_from(v.get("candidates")?)?,
-            }),
-            "shard_scan" => Some(Event::ShardScan {
-                shard: v.get("shard")?.as_u64()?,
-                lo: v.get("lo")?.as_u64()?,
-                hi: v.get("hi")?.as_u64()?,
-                skyline_size: v.get("skyline_size")?.as_u64()?,
-                dominance_tests: v.get("dominance_tests")?.as_u64()?,
-                elapsed_us: v.get("elapsed_us")?.as_u64()?,
-            }),
-            "parallel_merge" => Some(Event::ParallelMerge {
-                shard_skylines: u64_vec(v.get("shard_skylines")?)?,
-                candidates: v.get("candidates")?.as_u64()?,
-                skyline_size: v.get("skyline_size")?.as_u64()?,
-                dominance_tests: v.get("dominance_tests")?.as_u64()?,
-            }),
-            "request" => Some(Event::Request {
-                method: v.get("method")?.as_str()?.to_string(),
-                endpoint: v.get("endpoint")?.as_str()?.to_string(),
-                status: v.get("status")?.as_u64()?,
-                elapsed_us: v.get("elapsed_us")?.as_u64()?,
-                trace: trace_tag(v),
-            }),
-            "cache_hit" => Some(Event::CacheHit {
-                dataset: v.get("dataset")?.as_str()?.to_string(),
-                algorithm: v.get("algorithm")?.as_str()?.to_string(),
-                version: v.get("version")?.as_u64()?,
-                trace: trace_tag(v),
-            }),
-            "delta_applied" => Some(Event::DeltaApplied {
-                dataset: v.get("dataset")?.as_str()?.to_string(),
-                base_version: v.get("base_version")?.as_u64()?,
-                version: v.get("version")?.as_u64()?,
-                entered: v.get("entered")?.as_u64()?,
-                left: v.get("left")?.as_u64()?,
-                cache_patched: v.get("cache_patched")?.as_u64()?,
-                cache_invalidated: v.get("cache_invalidated")?.as_u64()?,
-                trace: trace_tag(v),
-            }),
-            "shed" => Some(Event::Shed {
-                endpoint: v.get("endpoint")?.as_str()?.to_string(),
-            }),
-            "deadline_exceeded" => Some(Event::DeadlineExceeded {
-                dataset: v.get("dataset")?.as_str()?.to_string(),
-                algorithm: v.get("algorithm")?.as_str()?.to_string(),
-                deadline_ms: v.get("deadline_ms")?.as_u64()?,
-            }),
-            "handler_panic" => Some(Event::HandlerPanic {
-                endpoint: v.get("endpoint")?.as_str()?.to_string(),
-            }),
-            "recovery" => Some(Event::Recovery {
-                dataset: v.get("dataset")?.as_str()?.to_string(),
-                replayed: v.get("replayed")?.as_u64()?,
-                version: v.get("version")?.as_u64()?,
-            }),
-            "feed_poll" => Some(Event::FeedPoll {
-                dataset: v.get("dataset")?.as_str()?.to_string(),
-                since: v.get("since")?.as_u64()?,
-                returned: v.get("returned")?.as_u64()?,
-                next: v.get("next")?.as_u64()?,
-                latest: v.get("latest")?.as_u64()?,
-                heartbeat: matches!(v.get("heartbeat")?, Value::Bool(true)),
-            }),
-            "replica_apply" => Some(Event::ReplicaApply {
-                dataset: v.get("dataset")?.as_str()?.to_string(),
-                version: v.get("version")?.as_u64()?,
-                records: v.get("records")?.as_u64()?,
-                lag: v.get("lag")?.as_u64()?,
-            }),
-            "replica_resync" => Some(Event::ReplicaResync {
-                dataset: v.get("dataset")?.as_str()?.to_string(),
-                version: v.get("version")?.as_u64()?,
-                reason: v.get("reason")?.as_str()?.to_string(),
-            }),
-            "shard_rpc" => Some(Event::ShardRpc {
-                shard: v.get("shard")?.as_u64()?,
-                endpoint: v.get("endpoint")?.as_str()?.to_string(),
-                status: v.get("status")?.as_u64()?,
-                attempts: v.get("attempts")?.as_u64()?,
-                elapsed_us: v.get("elapsed_us")?.as_u64()?,
-                trace: trace_tag(v),
-            }),
-            "promotion" => Some(Event::Promotion {
-                epoch: v.get("epoch")?.as_u64()?,
-                datasets: v.get("datasets")?.as_u64()?,
-                version: v.get("version")?.as_u64()?,
-            }),
-            "demotion" => Some(Event::Demotion {
-                epoch: v.get("epoch")?.as_u64()?,
-                primary: v.get("primary")?.as_str()?.to_string(),
-            }),
-            "fenced_request" => Some(Event::FencedRequest {
-                endpoint: v.get("endpoint")?.as_str()?.to_string(),
-                request_epoch: v.get("request_epoch")?.as_u64()?,
-                node_epoch: v.get("node_epoch")?.as_u64()?,
-            }),
-            "failover_suspect" => Some(Event::FailoverSuspect {
-                shard: v.get("shard")?.as_u64()?,
-                addr: v.get("addr")?.as_str()?.to_string(),
-                misses: v.get("misses")?.as_u64()?,
-            }),
-            "failover" => Some(Event::Failover {
-                shard: v.get("shard")?.as_u64()?,
-                epoch: v.get("epoch")?.as_u64()?,
-                old_primary: v.get("old_primary")?.as_str()?.to_string(),
-                new_primary: v.get("new_primary")?.as_str()?.to_string(),
-            }),
-            "stage_breakdown" => Some(Event::StageBreakdown {
-                trace: trace_tag(v),
-                endpoint: v.get("endpoint")?.as_str()?.to_string(),
-                total_us: v.get("total_us")?.as_u64()?,
-                stages: stages_from(v.get("stages")?)?,
-                straggler: v
-                    .get("straggler")
-                    .and_then(Value::as_str)
-                    .unwrap_or("")
-                    .to_string(),
-            }),
-            "cluster_merge" => Some(Event::ClusterMerge {
-                shards: v.get("shards")?.as_u64()?,
-                missing: v.get("missing")?.as_u64()?,
-                candidates: v.get("candidates")?.as_u64()?,
-                skyline_size: v.get("skyline_size")?.as_u64()?,
-                dominance_tests: v.get("dominance_tests")?.as_u64()?,
-                elapsed_us: v.get("elapsed_us")?.as_u64()?,
-            }),
-            "run_summary" => Some(Event::RunSummary {
-                algorithm: v.get("algorithm")?.as_str()?.to_string(),
-                skyline_size: v.get("skyline_size")?.as_u64()?,
-                dominance_tests: v.get("dominance_tests")?.as_u64()?,
-                container_gets: v.get("container_gets")?.as_u64()?,
-                elapsed_us: v.get("elapsed_us")?.as_u64()?,
-            }),
-            _ => None,
-        }
+        Event::read(v)
     }
 }
 
@@ -1021,6 +518,62 @@ mod tests {
             let back = Event::from_value(&v).unwrap_or_else(|| panic!("no parse: {line}"));
             assert_eq!(back, e, "round-trip mismatch for {line}");
         }
+    }
+
+    /// Every sample event as the hand-written encoder of each type wrote
+    /// it, before the codec was declared with `json_records!`.
+    const GOLDEN: [&str; 24] = [
+        r#"{"type":"run_start","ts_us":0,"algorithm":"SFS-SUBSET","points":1000,"dims":8}"#,
+        r#"{"type":"merge_iteration","ts_us":10,"iteration":0,"pivot":412,"pruned":73,"survivors":927,"stable":800,"subspace_hist":[0,3,12,900]}"#,
+        r#"{"type":"trie_stats","ts_us":20,"nodes":99,"entries":40,"depth":{"count":2,"sum":7,"min":2,"max":5,"buckets":[0,0,1,1,0,0,0,0,0,0,0,0,0,0,0,0]},"candidates":{"count":2,"sum":120,"min":0,"max":120,"buckets":[1,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0]}}"#,
+        r#"{"type":"shard_scan","ts_us":30,"shard":2,"lo":500,"hi":750,"skyline_size":61,"dominance_tests":4812,"elapsed_us":311}"#,
+        r#"{"type":"parallel_merge","ts_us":40,"shard_skylines":[64,58,61,70],"candidates":253,"skyline_size":211,"dominance_tests":1099}"#,
+        r#"{"type":"request","ts_us":50,"method":"GET","endpoint":"/skyline","status":200,"elapsed_us":412,"trace":"deadbeef01234567"}"#,
+        r#"{"type":"cache_hit","ts_us":60,"dataset":"hotels","algorithm":"SDI-Subset","version":17}"#,
+        r#"{"type":"delta_applied","ts_us":70,"dataset":"hotels","base_version":17,"version":18,"entered":1,"left":2,"cache_patched":1,"cache_invalidated":3,"trace":"deadbeef01234567"}"#,
+        r#"{"type":"shed","ts_us":80,"endpoint":"/skyline"}"#,
+        r#"{"type":"deadline_exceeded","ts_us":90,"dataset":"hotels","algorithm":"SDI-Subset","deadline_ms":25}"#,
+        r#"{"type":"handler_panic","ts_us":100,"endpoint":"/skyline"}"#,
+        r#"{"type":"recovery","ts_us":110,"dataset":"hotels","replayed":42,"version":58}"#,
+        r#"{"type":"feed_poll","ts_us":120,"dataset":"hotels","since":17,"returned":2,"next":19,"latest":19,"heartbeat":false}"#,
+        r#"{"type":"replica_apply","ts_us":130,"dataset":"hotels","version":19,"records":2,"lag":0}"#,
+        r#"{"type":"replica_resync","ts_us":140,"dataset":"hotels","version":19,"reason":"cursor 3 predates oldest retained version 12"}"#,
+        r#"{"type":"shard_rpc","ts_us":150,"shard":1,"endpoint":"/skyline","status":200,"attempts":2,"elapsed_us":1832,"trace":"deadbeef01234567"}"#,
+        r#"{"type":"promotion","ts_us":160,"epoch":3,"datasets":2,"version":57}"#,
+        r#"{"type":"demotion","ts_us":170,"epoch":3,"primary":"127.0.0.1:7101"}"#,
+        r#"{"type":"fenced_request","ts_us":180,"endpoint":"/datasets/hotels/points","request_epoch":2,"node_epoch":3}"#,
+        r#"{"type":"failover_suspect","ts_us":190,"shard":1,"addr":"127.0.0.1:7100","misses":2}"#,
+        r#"{"type":"failover","ts_us":200,"shard":1,"epoch":3,"old_primary":"127.0.0.1:7100","new_primary":"127.0.0.1:7101"}"#,
+        r#"{"type":"stage_breakdown","ts_us":210,"trace":"deadbeef01234567","endpoint":"/skyline","total_us":40100,"stages":{"accept":3,"route":2,"connect":90,"send":15,"shard_wait":38000,"gather":700,"merge":1200,"respond":40,"shard1.compute":36500},"straggler":"shard1"}"#,
+        r#"{"type":"cluster_merge","ts_us":220,"shards":4,"missing":1,"candidates":253,"skyline_size":211,"dominance_tests":1099,"elapsed_us":642}"#,
+        r#"{"type":"run_summary","ts_us":230,"algorithm":"SFS-SUBSET","skyline_size":211,"dominance_tests":48213,"container_gets":927,"elapsed_us":1523}"#,
+    ];
+
+    #[test]
+    fn events_are_written_byte_for_byte_as_before() {
+        for (i, (e, want)) in sample_events().iter().zip(GOLDEN).enumerate() {
+            assert_eq!(e.to_json(i as u64 * 10), want);
+        }
+        let untraced = Event::StageBreakdown {
+            trace: String::new(),
+            endpoint: "/skyline".into(),
+            total_us: 7,
+            stages: vec![],
+            straggler: String::new(),
+        };
+        assert_eq!(
+            untraced.to_json(5),
+            r#"{"type":"stage_breakdown","ts_us":5,"trace":"","endpoint":"/skyline","total_us":7,"stages":{}}"#
+        );
+        let escaped = Event::ReplicaResync {
+            dataset: "h\"q\\b".into(),
+            version: 0,
+            reason: "line\nbreak\ttab \u{1} σ".into(),
+        };
+        assert_eq!(
+            escaped.to_json(5),
+            r#"{"type":"replica_resync","ts_us":5,"dataset":"h\"q\\b","version":0,"reason":"line\nbreak\ttab \u0001 σ"}"#
+        );
     }
 
     #[test]

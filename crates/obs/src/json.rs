@@ -1,8 +1,12 @@
 //! Hand-rolled JSON writing and parsing — enough for the trace format,
 //! with correct string escaping in both directions and no external
-//! crates.
+//! crates — and the record codec: [`Field`] and [`json_records!`](crate::json_records)
+//! declare each JSON-lines record once and derive its writer and reader.
 
 use std::fmt::Write as _;
+use std::net::SocketAddr;
+
+use crate::histogram::{Histogram, BUCKETS};
 
 /// Escape `s` per RFC 8259 and append it, without surrounding quotes.
 pub fn escape_into(s: &str, out: &mut String) {
@@ -43,7 +47,7 @@ pub fn fmt_f64(v: f64, out: &mut String) {
 /// One row of coordinates as a JSON array, each value via [`fmt_f64`].
 pub fn row_json(row: &[f64]) -> String {
     let mut out = String::with_capacity(row.len() * 8 + 2);
-    push_row(row, &mut out);
+    push_array(row, &mut out);
     out
 }
 
@@ -55,21 +59,259 @@ pub fn rows_json<'a>(rows: impl IntoIterator<Item = &'a [f64]>) -> String {
         if i > 0 {
             out.push(',');
         }
-        push_row(row, &mut out);
+        push_array(row, &mut out);
     }
     out.push(']');
     out
 }
 
-fn push_row(row: &[f64], out: &mut String) {
+fn push_array<T: Field>(items: &[T], out: &mut String) {
     out.push('[');
-    for (i, &v) in row.iter().enumerate() {
+    for (i, item) in items.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        fmt_f64(v, out);
+        item.write(out);
     }
     out.push(']');
+}
+
+fn push_str(s: &str, out: &mut String) {
+    out.push('"');
+    escape_into(s, out);
+    out.push('"');
+}
+
+/// How one value type is written as a JSON value and read back out: the
+/// per-field half of [`json_records!`](crate::json_records). Reading is
+/// strict: a value of the wrong JSON type or out of the type's range is
+/// `None`, never coerced.
+pub trait Field: Sized {
+    /// Append `self` as one JSON value.
+    fn write(&self, out: &mut String);
+    /// The value [`Field::write`] wrote, or `None`.
+    fn read(v: &Value) -> Option<Self>;
+}
+
+macro_rules! integer_fields {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+            fn read(v: &Value) -> Option<$t> {
+                v.as_u64()?.try_into().ok()
+            }
+        }
+    )*};
+}
+
+integer_fields!(u64, u32, usize);
+
+/// Coordinates, via [`fmt_f64`]: ±∞ round-trip, NaN does not.
+impl Field for f64 {
+    fn write(&self, out: &mut String) {
+        fmt_f64(*self, out);
+    }
+    fn read(v: &Value) -> Option<f64> {
+        v.as_f64()
+    }
+}
+
+impl Field for bool {
+    fn write(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+    fn read(v: &Value) -> Option<bool> {
+        match v {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+impl Field for String {
+    fn write(&self, out: &mut String) {
+        push_str(self, out);
+    }
+    fn read(v: &Value) -> Option<String> {
+        v.as_str().map(str::to_string)
+    }
+}
+
+/// A network address, as its `ip:port` string.
+impl Field for SocketAddr {
+    fn write(&self, out: &mut String) {
+        push_str(&self.to_string(), out);
+    }
+    fn read(v: &Value) -> Option<SocketAddr> {
+        v.as_str()?.parse().ok()
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn write(&self, out: &mut String) {
+        push_array(self, out);
+    }
+    fn read(v: &Value) -> Option<Vec<T>> {
+        v.as_arr()?.iter().map(T::read).collect()
+    }
+}
+
+/// A stage list, as one object of `"stage": microseconds` pairs in
+/// order.
+impl Field for Vec<(String, u64)> {
+    fn write(&self, out: &mut String) {
+        let mut w = ObjectWriter::new();
+        for (name, us) in self {
+            w.u64_field(name, *us);
+        }
+        out.push_str(&w.finish());
+    }
+    fn read(v: &Value) -> Option<Vec<(String, u64)>> {
+        match v {
+            Value::Obj(pairs) => pairs
+                .iter()
+                .map(|(k, val)| Some((k.clone(), val.as_u64()?)))
+                .collect(),
+            _ => None,
+        }
+    }
+}
+
+/// A histogram, as `{"count","sum","min","max","buckets"}`.
+impl Field for Histogram {
+    fn write(&self, out: &mut String) {
+        let mut w = ObjectWriter::new();
+        w.u64_field("count", self.count())
+            .u64_field("sum", self.sum())
+            .u64_field("min", self.min())
+            .u64_field("max", self.max())
+            .u64_array_field("buckets", self.buckets());
+        out.push_str(&w.finish());
+    }
+    fn read(v: &Value) -> Option<Histogram> {
+        let num = |key| v.get(key)?.as_u64();
+        let buckets: [u64; BUCKETS] = Vec::<u64>::read(v.get("buckets")?)?.try_into().ok()?;
+        Some(Histogram::from_parts(
+            buckets,
+            num("count")?,
+            num("sum")?,
+            num("min")?,
+            num("max")?,
+        ))
+    }
+}
+
+/// Declare a tagged enum of JSON-lines records once: the enum, and from
+/// the same declaration its tag, a writer and a reader.
+///
+/// Each variant names the tag value it is written under, and its
+/// fields, whose types implement [`Field`](crate::json::Field). A record
+/// is one JSON object: the tag under the enum's tag key, then the fields
+/// in declaration order. A field declared `= ""` is left out when empty
+/// and read back as empty when absent. The reader ignores keys the
+/// variant does not declare, and returns `None` for an unknown tag or a
+/// missing or ill-typed field.
+///
+/// The generated methods are private to the declaring module:
+/// `tag(&self) -> &'static str`, `to_json_with(&self, head)` (the record
+/// as one line, with whatever `head` writes between the tag and the
+/// fields) and `read(&Value) -> Option<Self>`.
+///
+/// ```
+/// skyline_obs::json_records! {
+///     #[derive(Debug, PartialEq)]
+///     enum Op: "op" {
+///         /// Add a row.
+///         Insert = "insert" { v: u64, row: Vec<f64> },
+///         /// A note, often empty.
+///         Note = "note" { text: String = "" },
+///     }
+/// }
+/// use skyline_obs::json::Value;
+///
+/// let insert = Op::Insert { v: 2, row: vec![0.5, f64::INFINITY] };
+/// let line = insert.to_json_with(|w| {
+///     w.u64_field("ts", 9);
+/// });
+/// assert_eq!(line, r#"{"op":"insert","ts":9,"v":2,"row":[0.5,1e999]}"#);
+/// assert_eq!(Op::read(&Value::parse(&line).unwrap()), Some(insert));
+///
+/// let note = Op::Note { text: String::new() };
+/// assert_eq!(note.to_json_with(|_| {}), r#"{"op":"note"}"#);
+/// assert_eq!(Op::read(&Value::parse(r#"{"op":"note"}"#).unwrap()), Some(note));
+/// assert_eq!(Op::read(&Value::parse(r#"{"op":"insert","v":2.5,"row":[]}"#).unwrap()), None);
+/// ```
+#[macro_export]
+macro_rules! json_records {
+    (@write $w:ident, $field:ident) => {
+        $w.field(stringify!($field), $field);
+    };
+    (@write $w:ident, $field:ident, $default:literal) => {
+        if *$field != $default {
+            $w.field(stringify!($field), $field);
+        }
+    };
+    (@read $v:ident, $field:ident) => {
+        $crate::json::Field::read($v.get(stringify!($field))?)?
+    };
+    (@read $v:ident, $field:ident, $default:literal) => {
+        match $v.get(stringify!($field)) {
+            Some(x) => $crate::json::Field::read(x)?,
+            None => $default.into(),
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident: $key:literal {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $tag:literal {
+                    $( $(#[$fmeta:meta])* $field:ident: $ty:ty $(= $default:literal)? ),* $(,)?
+                }
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $( $(#[$vmeta])* $variant { $( $(#[$fmeta])* $field: $ty, )* }, )*
+        }
+
+        impl $name {
+            /// The tag this record is written under.
+            fn tag(&self) -> &'static str {
+                match self {
+                    $( $name::$variant { .. } => $tag, )*
+                }
+            }
+
+            /// The record as one JSON object: the tag, whatever `head`
+            /// writes, then the fields in declaration order.
+            fn to_json_with(&self, head: impl FnOnce(&mut $crate::json::ObjectWriter)) -> String {
+                let mut w = $crate::json::ObjectWriter::new();
+                w.str_field($key, self.tag());
+                head(&mut w);
+                match self {
+                    $( $name::$variant { $($field),* } => {
+                        $( $crate::json_records!(@write w, $field $(, $default)?); )*
+                    } )*
+                }
+                w.finish()
+            }
+
+            /// The record `v` holds, or `None` for an unknown tag or a
+            /// missing or ill-typed field.
+            fn read(v: &$crate::json::Value) -> Option<$name> {
+                Some(match v.get($key)?.as_str()? {
+                    $( $tag => $name::$variant {
+                        $( $field: $crate::json_records!(@read v, $field $(, $default)?), )*
+                    }, )*
+                    _ => return None,
+                })
+            }
+        }
+    };
 }
 
 /// Incremental writer for a single-line JSON object.
@@ -111,20 +353,23 @@ impl ObjectWriter {
         self.buf.push_str("\":");
     }
 
+    /// Add a field of any [`Field`] type.
+    pub fn field<T: Field>(&mut self, k: &str, v: &T) -> &mut Self {
+        self.key(k);
+        v.write(&mut self.buf);
+        self
+    }
+
     /// Add a string field.
     pub fn str_field(&mut self, k: &str, v: &str) -> &mut Self {
         self.key(k);
-        self.buf.push('"');
-        escape_into(v, &mut self.buf);
-        self.buf.push('"');
+        push_str(v, &mut self.buf);
         self
     }
 
     /// Add an unsigned integer field.
     pub fn u64_field(&mut self, k: &str, v: u64) -> &mut Self {
-        self.key(k);
-        let _ = write!(self.buf, "{v}");
-        self
+        self.field(k, &v)
     }
 
     /// Add a float field (finite values only; non-finite become `null`).
@@ -140,22 +385,13 @@ impl ObjectWriter {
 
     /// Add a boolean field.
     pub fn bool_field(&mut self, k: &str, v: bool) -> &mut Self {
-        self.key(k);
-        self.buf.push_str(if v { "true" } else { "false" });
-        self
+        self.field(k, &v)
     }
 
     /// Add an array-of-integers field.
     pub fn u64_array_field(&mut self, k: &str, vs: &[u64]) -> &mut Self {
         self.key(k);
-        self.buf.push('[');
-        for (i, v) in vs.iter().enumerate() {
-            if i > 0 {
-                self.buf.push(',');
-            }
-            let _ = write!(self.buf, "{v}");
-        }
-        self.buf.push(']');
+        push_array(vs, &mut self.buf);
         self
     }
 
@@ -226,10 +462,15 @@ impl Value {
         }
     }
 
-    /// The numeric payload as `u64`, if this is a non-negative number.
+    /// The numeric payload as `u64`, if this is a whole number in
+    /// `0..2^64`: a fraction, a negative number or a larger one is
+    /// `None`, never truncated.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 => Some(*n as u64),
+            // `u64::MAX as f64` rounds up to 2^64 itself.
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
+                Some(*n as u64)
+            }
             _ => None,
         }
     }
@@ -438,6 +679,8 @@ impl Parser<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::net::{Ipv4Addr, Ipv6Addr};
+
     use super::*;
 
     #[test]
@@ -510,5 +753,188 @@ mod tests {
         let line = w.finish();
         assert_eq!(line, r#"{"x":null}"#);
         assert_eq!(Value::parse(&line).unwrap().get("x"), Some(&Value::Null));
+    }
+
+    #[test]
+    fn as_u64_takes_only_whole_numbers_in_range() {
+        for (text, want) in [
+            ("0", Some(0)),
+            ("7", Some(7)),
+            ("1e3", Some(1000)),
+            ("9007199254740992", Some(1 << 53)),
+            ("0.9", None),
+            ("2.5", None),
+            ("-1", None),
+            ("18446744073709551616", None),
+            ("1e30", None),
+            ("1e999", None),
+            ("\"7\"", None),
+            ("true", None),
+            ("null", None),
+        ] {
+            assert_eq!(Value::parse(text).unwrap().as_u64(), want, "{text}");
+        }
+    }
+
+    crate::json_records! {
+        /// Every [`Field`] type, for the codec's round-trip property.
+        #[derive(Debug, PartialEq)]
+        enum Sample: "kind" {
+            Numbers = "numbers" {
+                big: u64,
+                handle: u32,
+                dims: usize,
+                flag: bool,
+                ids: Vec<u64>,
+                handles: Vec<u32>,
+            },
+            Texts = "texts" { text: String, note: String = "", addr: SocketAddr },
+            Rows = "rows" { row: Vec<f64>, stages: Vec<(String, u64)>, hist: Histogram },
+        }
+    }
+
+    /// xorshift64: enough randomness for a seeded property loop.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// Below 2^53, so the value is exact as a JSON number.
+        fn count(&mut self) -> u64 {
+            self.next() >> 11
+        }
+
+        fn text(&mut self) -> String {
+            const CHARS: [char; 12] = [
+                'a', 'Z', ' ', '/', '"', '\\', '\n', '\t', '\u{1}', '\u{1f}', 'σ', '🦀',
+            ];
+            (0..self.below(8))
+                .map(|_| CHARS[self.below(12) as usize])
+                .collect()
+        }
+
+        fn coordinate(&mut self) -> f64 {
+            match self.below(4) {
+                0 => f64::INFINITY,
+                1 => f64::NEG_INFINITY,
+                2 => self.below(1000) as f64 / 8.0 - 50.0,
+                _ => Some(f64::from_bits(self.next()))
+                    .filter(|x| !x.is_nan())
+                    .unwrap_or(0.0),
+            }
+        }
+
+        fn sample(&mut self) -> Sample {
+            let len = self.below(5);
+            match self.below(3) {
+                0 => Sample::Numbers {
+                    big: self.count(),
+                    handle: self.next() as u32,
+                    dims: self.count() as usize,
+                    flag: self.next() & 1 == 1,
+                    ids: (0..len).map(|_| self.count()).collect(),
+                    handles: (0..len).map(|_| self.next() as u32).collect(),
+                },
+                1 => Sample::Texts {
+                    text: self.text(),
+                    note: self.text(),
+                    addr: match self.below(2) {
+                        0 => (Ipv4Addr::from(self.next() as u32), self.next() as u16).into(),
+                        _ => (Ipv6Addr::from(u128::from(self.next()) << 64), 9).into(),
+                    },
+                },
+                _ => Sample::Rows {
+                    row: (0..len).map(|_| self.coordinate()).collect(),
+                    stages: (0..len).map(|_| (self.text(), self.count())).collect(),
+                    hist: {
+                        let mut h = Histogram::new();
+                        for _ in 0..len {
+                            h.record(self.below(1 << 30));
+                        }
+                        h
+                    },
+                },
+            }
+        }
+    }
+
+    fn read_obj(fields: &[(String, Value)]) -> Option<Sample> {
+        Sample::read(&Value::Obj(fields.to_vec()))
+    }
+
+    #[test]
+    fn every_record_round_trips_or_is_rejected() {
+        const INTEGER_FIELDS: [&str; 3] = ["big", "handle", "dims"];
+        let wrong_types = [
+            Value::Null,
+            Value::Bool(true),
+            Value::Num(3.0),
+            Value::Str("x".into()),
+            Value::Arr(vec![]),
+            Value::Obj(vec![]),
+        ];
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        for _ in 0..2000 {
+            let record = rng.sample();
+            let line = record.to_json_with(|_| {});
+            let Value::Obj(fields) = Value::parse(&line).unwrap() else {
+                panic!("not an object: {line}");
+            };
+            assert_eq!(read_obj(&fields).as_ref(), Some(&record), "{line}");
+
+            let mut unknown = fields.clone();
+            unknown[0].1 = Value::Str("mystery".into());
+            assert_eq!(read_obj(&unknown), None, "unknown tag: {line}");
+            for i in 1..fields.len() {
+                let (key, value) = &fields[i];
+                let mut dropped = fields.clone();
+                dropped.remove(i);
+                match read_obj(&dropped) {
+                    // `note` is declared `= ""`: absent reads as empty.
+                    Some(Sample::Texts { note, .. }) if key == "note" => assert!(note.is_empty()),
+                    other => assert_eq!(other, None, "dropped {key:?}: {line}"),
+                }
+                for wrong in &wrong_types {
+                    if std::mem::discriminant(wrong) != std::mem::discriminant(value) {
+                        let mut retyped = fields.clone();
+                        retyped[i].1 = wrong.clone();
+                        assert_eq!(read_obj(&retyped), None, "{key:?} as {wrong:?}: {line}");
+                    }
+                }
+                let too_big = match key.as_str() {
+                    "handle" | "handles" => 2f64.powi(32),
+                    _ => 2f64.powi(64),
+                };
+                for bad in [2.5, -1.0, too_big] {
+                    let mut out_of_range = fields.clone();
+                    match &mut out_of_range[i] {
+                        (k, v @ Value::Num(_)) if INTEGER_FIELDS.contains(&k.as_str()) => {
+                            *v = Value::Num(bad)
+                        }
+                        (k, Value::Arr(items)) if k == "ids" || k == "handles" => {
+                            match items.first_mut() {
+                                Some(first) => *first = Value::Num(bad),
+                                None => continue,
+                            }
+                        }
+                        _ => continue,
+                    }
+                    assert_eq!(
+                        read_obj(&out_of_range),
+                        None,
+                        "{key:?} with {bad:?}: {line}"
+                    );
+                }
+            }
+        }
     }
 }

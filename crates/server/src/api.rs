@@ -121,15 +121,26 @@ impl NewDataset {
 /// generating it neither panics nor allocates more than a rows body
 /// within `max_body` would.
 fn synthetic_spec(synth: &Value, max_body: usize) -> Result<SyntheticSpec, Response> {
-    let field = |name| synth.get(name).and_then(Value::as_u64);
+    // `None` when absent, a 400 when present but not an integer.
+    let field = |name| match synth.get(name).map(Value::as_u64) {
+        None => Ok(None),
+        Some(Some(v)) => Ok(Some(v)),
+        Some(None) => Err(bad(format!(
+            "synthetic {name:?} must be a non-negative integer"
+        ))),
+    };
     let tag = synth
         .get("distribution")
         .and_then(Value::as_str)
         .unwrap_or("UI");
     let distribution = Distribution::from_tag(tag)
         .ok_or_else(|| bad(format!("unknown distribution {tag:?} (UI, CO, AC)")))?;
-    let n = field("n").ok_or_else(|| bad("synthetic spec needs numeric \"n\""))?;
-    let dims = field("dims").ok_or_else(|| bad("synthetic spec needs numeric \"dims\""))?;
+    let n = match synth.get("n") {
+        // Past 2^64 is over any limit: the 413 below, not a 400.
+        Some(Value::Num(n)) if *n >= u64::MAX as f64 => u64::MAX,
+        _ => field("n")?.ok_or_else(|| bad("synthetic spec needs numeric \"n\""))?,
+    };
+    let dims = field("dims")?.ok_or_else(|| bad("synthetic spec needs numeric \"dims\""))?;
     check_dims(dims)?;
     // Each value of a rows body takes at least two bytes (`0,`), so a
     // body within `max_body` carries at most `max_body / 2` values.
@@ -142,7 +153,7 @@ fn synthetic_spec(synth: &Value, max_body: usize) -> Result<SyntheticSpec, Respo
         distribution,
         cardinality: n as usize,
         dims: dims as usize,
-        seed: field("seed").unwrap_or(42),
+        seed: field("seed")?.unwrap_or(42),
     })
 }
 

@@ -147,26 +147,37 @@ fn snap_file(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{name}.snap"))
 }
 
+skyline_obs::json_records! {
+    /// One log record; the functions below write each kind.
+    enum WalRecord: "op" {
+        Create = "create" { v: u64, dims: usize },
+        Insert = "insert" { v: u64, row: Vec<f64> },
+        Remove = "remove" { v: u64, id: PointId },
+        Epoch = "epoch" { epoch: u64 },
+    }
+}
+
 /// The `create` record opening every fresh log. `v` is 0: the record
 /// describes the empty dataset.
 pub fn create_record(dims: usize) -> String {
-    format!("{{\"op\":\"create\",\"v\":0,\"dims\":{dims}}}")
+    WalRecord::Create { v: 0, dims }.to_json_with(|_| {})
 }
 
 /// An `insert` record; `v` is the content version after the insert.
 pub fn insert_record(row: &[f64], v: u64) -> String {
-    format!("{{\"op\":\"insert\",\"v\":{v},\"row\":{}}}", row_json(row))
+    let row = row.to_vec();
+    WalRecord::Insert { v, row }.to_json_with(|_| {})
 }
 
 /// A `remove` record; `v` is the content version after the removal.
 pub fn remove_record(id: PointId, v: u64) -> String {
-    format!("{{\"op\":\"remove\",\"v\":{v},\"id\":{id}}}")
+    WalRecord::Remove { v, id }.to_json_with(|_| {})
 }
 
 /// An `epoch` record marking that the node began serving this dataset
 /// under a new fencing epoch. Does not advance the content version.
 pub fn epoch_record(epoch: u64) -> String {
-    format!("{{\"op\":\"epoch\",\"epoch\":{epoch}}}")
+    WalRecord::Epoch { epoch }.to_json_with(|_| {})
 }
 
 fn node_epoch_file(dir: &Path) -> PathBuf {
@@ -362,36 +373,8 @@ pub fn parse_snapshot(text: &str) -> Option<SnapshotParts> {
     Some((dims, version, slots))
 }
 
-/// One parsed log record.
-enum WalRecord {
-    Create { dims: usize },
-    Insert { v: u64, row: Vec<f64> },
-    Remove { v: u64, id: PointId },
-    Epoch { epoch: u64 },
-}
-
 fn parse_record(line: &str) -> Option<WalRecord> {
-    let v = Value::parse(line).ok()?;
-    match v.get("op")?.as_str()? {
-        "create" => Some(WalRecord::Create {
-            dims: v.get("dims")?.as_u64()? as usize,
-        }),
-        "insert" => {
-            let row: Option<Vec<f64>> = v.get("row")?.as_arr()?.iter().map(Value::as_f64).collect();
-            Some(WalRecord::Insert {
-                v: v.get("v")?.as_u64()?,
-                row: row?,
-            })
-        }
-        "remove" => Some(WalRecord::Remove {
-            v: v.get("v")?.as_u64()?,
-            id: v.get("id")?.as_u64()? as PointId,
-        }),
-        "epoch" => Some(WalRecord::Epoch {
-            epoch: v.get("epoch")?.as_u64()?,
-        }),
-        _ => None,
-    }
+    WalRecord::read(&Value::parse(line).ok()?)
 }
 
 /// Recover one dataset from its snapshot and log. Returns `None` when
@@ -430,7 +413,7 @@ pub fn recover(config: &StorageConfig, name: &str) -> io::Result<Option<Recovere
             .and_then(parse_record);
         let Some(record) = parsed else { break };
         let applied = match record {
-            WalRecord::Create { dims } => match stream {
+            WalRecord::Create { dims, .. } => match stream {
                 // A snapshot supersedes the create record.
                 Some(_) => true,
                 None => match StreamingSkyline::new(dims) {
@@ -689,6 +672,17 @@ mod tests {
         write_node_epoch(&config.dir, 9).unwrap();
         assert_eq!(read_node_epoch(&config.dir), 9);
         fs::remove_dir_all(&config.dir).unwrap();
+    }
+
+    #[test]
+    fn records_are_written_byte_for_byte_as_before() {
+        assert_eq!(create_record(3), r#"{"op":"create","v":0,"dims":3}"#);
+        assert_eq!(
+            insert_record(&[f64::INFINITY, -1.5, f64::NEG_INFINITY, 0.1], 7),
+            r#"{"op":"insert","v":7,"row":[1e999,-1.5,-1e999,0.1]}"#
+        );
+        assert_eq!(remove_record(4, 8), r#"{"op":"remove","v":8,"id":4}"#);
+        assert_eq!(epoch_record(2), r#"{"op":"epoch","epoch":2}"#);
     }
 
     #[test]

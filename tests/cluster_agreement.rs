@@ -386,6 +386,30 @@ fn node_and_coordinator_refuse_the_same_requests() {
             synthetic(r#"{"n":1000000000000,"dims":1}"#),
             413,
         ),
+        (
+            "fractional n",
+            "/datasets",
+            synthetic(r#"{"n":2.5,"dims":2}"#),
+            400,
+        ),
+        (
+            "fractional dims",
+            "/datasets",
+            synthetic(r#"{"n":10,"dims":2.7}"#),
+            400,
+        ),
+        (
+            "fractional seed",
+            "/datasets",
+            synthetic(r#"{"n":10,"dims":2,"seed":1.5}"#),
+            400,
+        ),
+        (
+            "non-numeric seed",
+            "/datasets",
+            synthetic(r#"{"n":10,"dims":2,"seed":"x"}"#),
+            400,
+        ),
     ];
     let queries = [
         ("bad deadline_ms", "/skyline?dataset=ok&deadline_ms=0"),
@@ -396,6 +420,7 @@ fn node_and_coordinator_refuse_the_same_requests() {
     let points = [
         ("POST", "non-array rows", r#"{"rows":5}"#),
         ("DELETE", "non-numeric ids", r#"{"ids":["a"]}"#),
+        ("DELETE", "fractional ids", r#"{"ids":[0.9]}"#),
     ];
 
     for &addr in &targets {
@@ -415,6 +440,45 @@ fn node_and_coordinator_refuse_the_same_requests() {
         assert_eq!(http_client::get(addr, "/healthz").unwrap().status, 200);
         assert_eq!(coord_metric(addr, "panics_total"), 0, "panics at {addr}");
     }
+}
+
+/// A synthetic spec within the coordinator's `max_body` reaches the
+/// shards in bodies within theirs, however many bytes its rows take as
+/// JSON, and answers what a single node answers for the same spec.
+#[test]
+fn large_synthetic_creates_reach_shards_in_bounded_bodies() {
+    const MAX_BODY: usize = 64 << 10;
+    let start = || {
+        skyline_serve::Server::start(skyline_serve::ServerConfig {
+            threads: 2,
+            max_body: MAX_BODY,
+            ..Default::default()
+        })
+        .expect("start node")
+    };
+    let node = start();
+    let shards = [start(), start()];
+    let coordinator = Cluster::start(ClusterConfig {
+        threads: 4,
+        max_body: MAX_BODY,
+        ..ClusterConfig::new(shards.iter().map(|s| s.local_addr()).collect())
+    })
+    .expect("start coordinator");
+    // 12,000 values: inside the 32,768-value limit, but about 240 KB of
+    // rows as JSON, well over one 64 KiB body per shard.
+    let body = r#"{"name":"big","synthetic":{"n":3000,"dims":4}}"#;
+    let mut answers = Vec::new();
+    for addr in [node.local_addr(), coordinator.local_addr()] {
+        let resp = http_client::post(addr, "/datasets", body).expect("create");
+        assert_eq!(resp.status, 201, "create at {addr}: {}", resp.body_str());
+        let created = Value::parse(&resp.body_str()).expect("create JSON");
+        assert_eq!(created.get("points").and_then(Value::as_u64), Some(3000));
+        let resp = http_client::get(addr, "/skyline?dataset=big").expect("query");
+        assert_eq!(resp.status, 200, "query at {addr}: {}", resp.body_str());
+        let v = Value::parse(&resp.body_str()).expect("skyline JSON");
+        answers.push(v.get("ids").cloned().expect("ids"));
+    }
+    assert_eq!(answers[0], answers[1], "node and coordinator disagree");
 }
 
 /// Metric counter from the coordinator's `/metrics` JSON.
