@@ -216,6 +216,8 @@ if [[ "$quick" != "quick" ]]; then
         | grep -q '"points":200'
     curl -sf -X POST "http://$addr/datasets/crashy/points" \
         -d '{"rows": [[0.001, 0.001, 0.001, 0.001]]}' | grep -q '"inserted":1'
+    curl -sf -X DELETE "http://$addr/datasets/crashy/points" \
+        -d '{"ids": [200]}' | grep -q '"removed":1'
     before=$(curl -sf "http://$addr/skyline?dataset=crashy&algo=SFS")
     kill -9 "$serve_pid"    # hard crash: no graceful shutdown, no final flush
     wait "$serve_pid" 2>/dev/null || true
@@ -234,7 +236,7 @@ if [[ "$quick" != "quick" ]]; then
     after_core=$(printf '%s' "$after" | sed 's/"elapsed_us":[0-9]*//')
     [[ "$before_core" == "$after_core" ]] || {
         echo "recovery mismatch:"; echo "  before: $before"; echo "  after:  $after"; exit 1; }
-    curl -sf "http://$addr/metrics" | grep -q '"recovery_replayed_records":20[12]'
+    curl -sf "http://$addr/metrics" | grep -q '"recovery_replayed_records":202'
     curl -sf -X POST "http://$addr/shutdown" | grep -q 'shutting down'
     wait_exit "$serve_pid"
 

@@ -44,7 +44,7 @@
 pub mod manifest;
 pub mod shard_map;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -200,6 +200,10 @@ struct Shared {
     topology: std::sync::RwLock<Topology>,
     shard_stats: Vec<ShardStats>,
     datasets: Mutex<HashMap<String, DatasetState>>,
+    /// Names whose create is fanning out. A name is reserved here under
+    /// the `datasets` lock, so the fan-out runs without that lock and a
+    /// racing create of the same name still gets 409.
+    creating: Mutex<HashSet<String>>,
     manifest: Option<Mutex<Manifest>>,
     replayed: u64,
     retry: RetryPolicy,
@@ -343,6 +347,7 @@ impl Cluster {
                 stale,
             }),
             datasets: Mutex::new(datasets),
+            creating: Mutex::new(HashSet::new()),
             manifest,
             replayed,
             retry: config.retry,
@@ -1034,16 +1039,10 @@ fn handle_create(shared: &Shared, req: &Request) -> Result<Response, Response> {
     let NewDataset { name, dims, rows } = new;
     let name = name.as_str();
 
-    // The registry lock is held across the fan-out: creation is an
-    // admin operation, and serialising mutations keeps the manifest a
-    // simple linear history.
-    let mut datasets = shared.datasets.lock().unwrap_or_else(|e| e.into_inner());
-    if datasets.contains_key(name) {
-        return Err(Response::error(
-            409,
-            &format!("dataset {name:?} already exists"),
-        ));
-    }
+    // Reserve the name, then fan out without the registry lock: reads
+    // and writes of other datasets go on meanwhile. Manifest replay is
+    // keyed by name, so their records may interleave with this one's.
+    let _reserved = Reservation::take(shared, name)?;
     let shard_count = shared.shard_count;
 
     // Every shard gets an (initially empty) dataset so later inserts
@@ -1097,7 +1096,9 @@ fn handle_create(shared: &Shared, req: &Request) -> Result<Response, Response> {
     let outcome = fan_out_insert(shared, name, &mut state, &groups, create_version);
     let points = state.live;
     let version = state.version;
+    let mut datasets = shared.datasets.lock().unwrap_or_else(|e| e.into_inner());
     datasets.insert(name.to_string(), state);
+    drop(datasets);
     outcome?;
     let mut w = ObjectWriter::new();
     w.str_field("name", name)
@@ -1106,6 +1107,40 @@ fn handle_create(shared: &Shared, req: &Request) -> Result<Response, Response> {
         .u64_field("version", version)
         .u64_field("shards", shard_count as u64);
     Ok(Response::json(201, w.finish()))
+}
+
+/// A dataset name reserved for one create's fan-out, released when the
+/// create returns. By then the dataset is registered, unless the shards
+/// refused to create it.
+struct Reservation<'a> {
+    shared: &'a Shared,
+    name: &'a str,
+}
+
+impl<'a> Reservation<'a> {
+    /// Reserve `name`, or answer 409 if it exists or is being created.
+    fn take(shared: &'a Shared, name: &'a str) -> Result<Reservation<'a>, Response> {
+        let datasets = shared.datasets.lock().unwrap_or_else(|e| e.into_inner());
+        let mut creating = shared.creating.lock().unwrap_or_else(|e| e.into_inner());
+        if datasets.contains_key(name) || !creating.insert(name.to_string()) {
+            return Err(Response::error(
+                409,
+                &format!("dataset {name:?} already exists"),
+            ));
+        }
+        Ok(Reservation { shared, name })
+    }
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        let mut creating = self
+            .shared
+            .creating
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        creating.remove(self.name);
+    }
 }
 
 /// JSON string literal for `s` (names come back out of `ObjectWriter`

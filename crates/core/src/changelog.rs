@@ -31,7 +31,9 @@
 use std::collections::VecDeque;
 
 use crate::delta::SkylineDelta;
+use crate::metrics::Metrics;
 use crate::point::PointId;
+use crate::streaming::StreamingSkyline;
 
 /// The mutation behind one change-log record — enough for a replica to
 /// reproduce the primary's exact state transition (insert order is
@@ -48,6 +50,25 @@ pub enum ChangeOp {
         /// The removed point's handle.
         id: PointId,
     },
+}
+
+impl ChangeOp {
+    /// Apply the op to `stream`: the handle it inserted or removed and
+    /// the delta it caused, or `None` when it does not take effect (an
+    /// insert the stream refuses, a remove of a handle that is not
+    /// live). Every mutation of a served dataset goes through here —
+    /// live writes, WAL replay and replica apply alike — so the three
+    /// agree on what an op does.
+    pub fn apply(
+        &self,
+        stream: &mut StreamingSkyline,
+        metrics: &mut Metrics,
+    ) -> Option<(PointId, SkylineDelta)> {
+        match self {
+            ChangeOp::Insert { row } => stream.insert_delta(row, metrics).ok(),
+            ChangeOp::Remove { id } => Some((*id, stream.remove_delta(*id, metrics)?)),
+        }
+    }
 }
 
 /// One change-log entry: the operation at a version together with the
@@ -277,6 +298,27 @@ mod tests {
         assert_eq!(log.oldest_retained(), 8);
         assert!(log.since(6, 10).is_err());
         assert!(log.since(7, 10).unwrap().records.is_empty());
+    }
+
+    #[test]
+    fn ops_apply_only_when_they_take_effect() {
+        let mut stream = StreamingSkyline::new(2).unwrap();
+        let mut metrics = Metrics::new();
+        let insert = ChangeOp::Insert {
+            row: vec![1.0, 2.0],
+        };
+        let (id, delta) = insert.apply(&mut stream, &mut metrics).unwrap();
+        assert_eq!((id, delta.entered, delta.version), (0, vec![0], 1));
+        let short = ChangeOp::Insert { row: vec![1.0] };
+        assert!(short.apply(&mut stream, &mut metrics).is_none());
+        let remove = ChangeOp::Remove { id: 0 };
+        let (id, delta) = remove.apply(&mut stream, &mut metrics).unwrap();
+        assert_eq!((id, delta.left, delta.version), (0, vec![0], 2));
+        assert!(remove.apply(&mut stream, &mut metrics).is_none(), "dead");
+        assert!(ChangeOp::Remove { id: 7 }
+            .apply(&mut stream, &mut metrics)
+            .is_none());
+        assert_eq!(stream.version(), 2, "refused ops move nothing");
     }
 
     #[test]

@@ -661,32 +661,6 @@ fn with_replica_lag(shared: &Shared, dataset: &str, resp: Response) -> Response 
     }
 }
 
-/// One change record on the feed wire: always the delta
-/// (`version`/`entered`/`left`), plus the raw operation (`row` for an
-/// insert, `remove` for a removal) when the consumer asked for
-/// `ops=1` — that is what lets a follower rebuild the full point set
-/// with identical handle assignment.
-fn change_record_json(record: &skyline_core::changelog::ChangeRecord, with_ops: bool) -> String {
-    use skyline_core::changelog::ChangeOp;
-    let entered: Vec<u64> = record.delta.entered.iter().map(|&i| i as u64).collect();
-    let left: Vec<u64> = record.delta.left.iter().map(|&i| i as u64).collect();
-    let mut w = ObjectWriter::new();
-    w.u64_field("version", record.version())
-        .u64_array_field("entered", &entered)
-        .u64_array_field("left", &left);
-    if with_ops {
-        match &record.op {
-            ChangeOp::Insert { row } => {
-                w.raw_field("row", &json::row_json(row));
-            }
-            ChangeOp::Remove { id } => {
-                w.u64_field("remove", *id as u64);
-            }
-        }
-    }
-    w.finish()
-}
-
 /// Feed long-poll ceiling, ms — below the 30 s request timeout so a
 /// subscriber's held request always answers before the socket dies.
 const MAX_WAIT_MS: u64 = 25_000;
@@ -753,7 +727,7 @@ fn handle_changes(shared: &Shared, name: &str, req: &Request) -> Result<Response
             let records: Vec<String> = batch
                 .records
                 .iter()
-                .map(|r| change_record_json(r, with_ops))
+                .map(|r| replica::record_json(r, with_ops))
                 .collect();
             let mut w = ObjectWriter::new();
             w.str_field("dataset", name)

@@ -8,13 +8,20 @@
 //! read lock just long enough to clone an `Arc`, then compute against a
 //! consistent version with no locks held.
 //!
+//! Every mutation takes one path. A live write (creation, insert,
+//! remove) becomes a batch of [`ChangeOp`]s that each take effect, and
+//! `DatasetEntry::commit` logs the whole batch, then applies each op
+//! with [`ChangeOp::apply`]. WAL replay and replica apply use
+//! [`ChangeOp::apply`] too, so all three agree on what an op does.
+//!
 //! With a [`StorageConfig`] the registry is durable: every mutation is
-//! logged to a per-dataset write-ahead log *before* it is acknowledged
-//! (see [`crate::wal`]), and [`Registry::open`] replays snapshot + log
+//! logged to a per-dataset write-ahead log *before* it is applied, and
+//! so before it is acknowledged (see [`crate::wal`]). A failed append
+//! leaves memory untouched. [`Registry::open`] replays snapshot + log
 //! on boot, recovering every dataset to its exact pre-crash content
 //! version.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -169,100 +176,32 @@ fn build_snapshot(stream: &StreamingSkyline) -> Result<Arc<Snapshot>, RegistryEr
 }
 
 impl DatasetEntry {
+    /// The one constructor: an entry serving `stream`, with `wal` when
+    /// durable. A fresh dataset starts from an empty stream and a fresh
+    /// log, a recovered one from its snapshot plus replayed log, and a
+    /// follower's from a primary snapshot with no log (replicas resync
+    /// from the primary, they do not keep their own WAL). The change
+    /// feed resumes with `records`, the ones the WAL could still replay:
+    /// history absorbed into a snapshot is below the retention horizon,
+    /// and stale cursors get an explicit [`FeedGone`] instead of a
+    /// silent gap.
     fn new(
         name: &str,
-        dims: usize,
-        rows: &[Vec<f64>],
-        storage: Option<&StorageConfig>,
-        feed_retain: usize,
-    ) -> Result<DatasetEntry, RegistryError> {
-        let mut stream =
-            StreamingSkyline::new(dims).map_err(|e| RegistryError::BadData(e.to_string()))?;
-        validate_rows(rows, dims)?;
-        let mut metrics = Metrics::new();
-        let mut changes = ChangeLog::new(feed_retain);
-        let mut records = vec![wal::create_record(dims)];
-        for row in rows {
-            records.push(wal::insert_record(row, stream.version() + 1));
-            let (_, delta) = stream
-                .insert_delta(row, &mut metrics)
-                .map_err(|e| RegistryError::BadData(e.to_string()))?;
-            changes.append(ChangeRecord {
-                op: ChangeOp::Insert { row: row.clone() },
-                delta,
-            });
-        }
-        let wal = match storage {
-            Some(config) => {
-                let mut wal = DatasetWal::create(config, name)
-                    .map_err(|e| RegistryError::Io(e.to_string()))?;
-                wal.append_batch(&records)
-                    .map_err(|e| RegistryError::Io(e.to_string()))?;
-                Some(wal)
-            }
-            None => None,
-        };
-        let snapshot = build_snapshot(&stream)?;
-        let version = stream.version();
-        Ok(DatasetEntry {
-            name: name.to_string(),
-            dims,
-            inner: RwLock::new(Inner {
-                stream,
-                snapshot,
-                wal,
-                changes,
-            }),
-            feed_signal: (Mutex::new(version), Condvar::new()),
-        })
-    }
-
-    /// Rehydrate an entry from recovery. The change feed resumes with
-    /// the records the WAL could still replay: history absorbed into
-    /// the compaction snapshot is below the retention horizon and stale
-    /// cursors get an explicit [`FeedGone`] instead of a silent gap.
-    fn recovered(
-        name: &str,
         stream: StreamingSkyline,
-        wal: DatasetWal,
+        wal: Option<DatasetWal>,
         records: Vec<ChangeRecord>,
         feed_retain: usize,
     ) -> Result<DatasetEntry, RegistryError> {
         let snapshot = build_snapshot(&stream)?;
         let version = stream.version();
-        let changes = ChangeLog::resume(version, records, feed_retain);
         Ok(DatasetEntry {
             name: name.to_string(),
             dims: stream.dims(),
             inner: RwLock::new(Inner {
+                changes: ChangeLog::resume(version, records, feed_retain),
                 stream,
                 snapshot,
-                wal: Some(wal),
-                changes,
-            }),
-            feed_signal: (Mutex::new(version), Condvar::new()),
-        })
-    }
-
-    /// Build a follower-side entry from a primary snapshot (memory-only:
-    /// replicas re-sync from the primary, they do not keep their own
-    /// WAL). The feed starts empty at the snapshot version.
-    fn replica(
-        name: &str,
-        stream: StreamingSkyline,
-        feed_retain: usize,
-    ) -> Result<DatasetEntry, RegistryError> {
-        let snapshot = build_snapshot(&stream)?;
-        let version = stream.version();
-        let changes = ChangeLog::resume(version, Vec::new(), feed_retain);
-        Ok(DatasetEntry {
-            name: name.to_string(),
-            dims: stream.dims(),
-            inner: RwLock::new(Inner {
-                stream,
-                snapshot,
-                wal: None,
-                changes,
+                wal,
             }),
             feed_signal: (Mutex::new(version), Condvar::new()),
         })
@@ -316,45 +255,78 @@ impl DatasetEntry {
     ///
     /// Durable registries log the whole batch *before* touching memory:
     /// a WAL failure rejects the batch with nothing applied, so the
-    /// in-memory state never runs ahead of the log on the insert path
-    /// (replay reconstructs handles from insert order, which must match).
+    /// in-memory state never runs ahead of the log (replay reconstructs
+    /// handles from insert order, which must match).
     pub fn insert_rows(
         &self,
         rows: &[Vec<f64>],
     ) -> Result<(Vec<PointId>, Mutation), RegistryError> {
         validate_rows(rows, self.dims)?;
+        self.commit(&mut write_lock(&self.inner), None, inserts(rows))
+    }
+
+    /// Remove points by handle, returning how many were live and the
+    /// [`Mutation`] summary. Unknown or already-deleted handles are
+    /// counted out, not errors, and so is every repeat of a handle
+    /// after its first.
+    ///
+    /// Which handles are live is decided under the write lock, before
+    /// anything is logged, so removes are logged first like inserts: the
+    /// log records only removals that happen, and a WAL failure rejects
+    /// the batch with nothing applied. A batch with no live handle logs
+    /// nothing and leaves the version where it was.
+    pub fn remove_ids(&self, ids: &[PointId]) -> Result<(usize, Mutation), RegistryError> {
         let mut inner = write_lock(&self.inner);
+        let mut seen = HashSet::new();
+        let ops: Vec<ChangeOp> = ids
+            .iter()
+            .filter(|&&id| inner.stream.get(id).is_some() && seen.insert(id))
+            .map(|&id| ChangeOp::Remove { id })
+            .collect();
+        let (removed, mutation) = self.commit(&mut inner, None, ops.into_iter())?;
+        Ok((removed.len(), mutation))
+    }
+
+    /// The one write path, under the write lock. Each of `ops` must take
+    /// effect when applied in order (rows validated, removes of distinct
+    /// live handles). A durable entry appends `head` and the batch's
+    /// lines to its log in one write, and only then applies the ops,
+    /// appends their change records and runs [`Self::after_mutation`]
+    /// once. A failed append leaves memory untouched. An empty batch
+    /// changes nothing, so it skips the upkeep. Returns the handle each
+    /// op inserted or removed.
+    ///
+    /// `ops` is an iterator, walked once for the log lines and once to
+    /// apply, so an insert batch never holds a second copy of its rows.
+    fn commit(
+        &self,
+        inner: &mut Inner,
+        head: Option<String>,
+        ops: impl ExactSizeIterator<Item = ChangeOp> + Clone,
+    ) -> Result<(Vec<PointId>, Mutation), RegistryError> {
         let base_version = inner.stream.version();
-        if inner.wal.is_some() {
-            let records: Vec<String> = rows
-                .iter()
-                .enumerate()
-                .map(|(i, row)| wal::insert_record(row, base_version + i as u64 + 1))
-                .collect();
-            inner
-                .wal
-                .as_mut()
-                .expect("checked above")
-                .append_batch(&records)
-                .map_err(|e| RegistryError::Io(e.to_string()))?;
+        if let Some(wal) = inner.wal.as_mut() {
+            let numbered = ops.clone().zip(base_version + 1..);
+            let mut lines: Vec<String> = head.into_iter().collect();
+            lines.extend(numbered.map(|(op, v)| wal::op_record(&op, v)));
+            if !lines.is_empty() {
+                wal.append_batch(&lines).map_err(io_failure)?;
+            }
         }
         let mut metrics = Metrics::new();
-        let mut ids = Vec::with_capacity(rows.len());
-        let mut deltas = Vec::with_capacity(rows.len());
-        for row in rows {
-            // Cannot fail: rows were validated above.
-            let (id, delta) = inner
-                .stream
-                .insert_delta(row, &mut metrics)
-                .map_err(|e| RegistryError::BadData(e.to_string()))?;
+        let mut ids = Vec::with_capacity(ops.len());
+        let mut deltas = Vec::with_capacity(ops.len());
+        for op in ops {
+            let (id, delta) = op
+                .apply(&mut inner.stream, &mut metrics)
+                .expect("a committed op takes effect");
             ids.push(id);
-            inner.changes.append(ChangeRecord {
-                op: ChangeOp::Insert { row: row.clone() },
-                delta: delta.clone(),
-            });
-            deltas.push(delta);
+            deltas.push(delta.clone());
+            inner.changes.append(ChangeRecord { op, delta });
         }
-        self.after_mutation(&mut inner)?;
+        if !ids.is_empty() {
+            self.after_mutation(inner)?;
+        }
         let mutation = Mutation {
             base_version,
             version: inner.stream.version(),
@@ -363,49 +335,6 @@ impl DatasetEntry {
                 .unwrap_or_else(|| SkylineDelta::empty(base_version)),
         };
         Ok((ids, mutation))
-    }
-
-    /// Remove points by handle, returning how many were live and the
-    /// [`Mutation`] summary. Unknown or already-deleted handles are
-    /// counted out, not errors.
-    ///
-    /// Removals apply to memory first (whether a handle is live is only
-    /// known then) and are logged after. A WAL failure here returns an
-    /// error — the removal is not acknowledged and may resurrect on
-    /// recovery — but handle assignment stays consistent either way.
-    pub fn remove_ids(&self, ids: &[PointId]) -> Result<(usize, Mutation), RegistryError> {
-        let mut inner = write_lock(&self.inner);
-        let base_version = inner.stream.version();
-        let mut metrics = Metrics::new();
-        let mut removed = 0;
-        let mut records = Vec::new();
-        let mut deltas = Vec::new();
-        for &id in ids {
-            if let Some(delta) = inner.stream.remove_delta(id, &mut metrics) {
-                removed += 1;
-                records.push(wal::remove_record(id, delta.version));
-                inner.changes.append(ChangeRecord {
-                    op: ChangeOp::Remove { id },
-                    delta: delta.clone(),
-                });
-                deltas.push(delta);
-            }
-        }
-        if removed > 0 {
-            if let Some(wal) = inner.wal.as_mut() {
-                wal.append_batch(&records)
-                    .map_err(|e| RegistryError::Io(e.to_string()))?;
-            }
-            self.after_mutation(&mut inner)?;
-        }
-        let mutation = Mutation {
-            base_version,
-            version: inner.stream.version(),
-            skyline_len: inner.stream.skyline_len(),
-            delta: SkylineDelta::coalesce(&deltas)
-                .unwrap_or_else(|| SkylineDelta::empty(base_version)),
-        };
-        Ok((removed, mutation))
     }
 
     /// Post-mutation upkeep under the write lock: rebuild the read
@@ -460,11 +389,11 @@ impl DatasetEntry {
     /// Apply one replicated change record on a follower.
     ///
     /// Duplicates (version at or below ours) are skipped by arithmetic;
-    /// the next dense version is applied through the op *and* checked
-    /// against the shipped [`SkylineDelta`] — first by asking the
-    /// wrong-base-refusing [`SkylineDelta::apply`] whether it even fits
-    /// our current skyline, then by comparing the locally produced delta
-    /// to the shipped one. Any disagreement reports
+    /// the next dense version is applied with [`ChangeOp::apply`] *and*
+    /// checked against the shipped [`SkylineDelta`] — first by asking
+    /// the wrong-base-refusing [`SkylineDelta::apply`] whether it even
+    /// fits our current skyline, then by comparing the locally produced
+    /// delta to the shipped one. Any disagreement reports
     /// [`ReplicaApply::Diverged`] and the caller resyncs.
     pub fn apply_replicated(&self, record: &ChangeRecord) -> Result<ReplicaApply, RegistryError> {
         let mut inner = write_lock(&self.inner);
@@ -484,30 +413,9 @@ impl DatasetEntry {
                 "delta for version {v} refused our base skyline"
             )));
         }
-        let mut metrics = Metrics::new();
-        let local = match &record.op {
-            ChangeOp::Insert { row } => {
-                if row.len() != self.dims {
-                    return Ok(ReplicaApply::Diverged(format!(
-                        "insert at version {v} has {} dims, dataset has {}",
-                        row.len(),
-                        self.dims
-                    )));
-                }
-                match inner.stream.insert_delta(row, &mut metrics) {
-                    Ok((_, delta)) => Some(delta),
-                    Err(e) => {
-                        return Ok(ReplicaApply::Diverged(format!(
-                            "insert at version {v} refused: {e}"
-                        )))
-                    }
-                }
-            }
-            ChangeOp::Remove { id } => inner.stream.remove_delta(*id, &mut metrics),
-        };
-        match local {
-            Some(delta) if delta == record.delta => {}
-            Some(delta) => {
+        match record.op.apply(&mut inner.stream, &mut Metrics::new()) {
+            Some((_, delta)) if delta == record.delta => {}
+            Some((_, delta)) => {
                 return Ok(ReplicaApply::Diverged(format!(
                     "delta mismatch at version {v}: local {delta:?} vs shipped {:?}",
                     record.delta
@@ -515,7 +423,7 @@ impl DatasetEntry {
             }
             None => {
                 return Ok(ReplicaApply::Diverged(format!(
-                    "remove at version {v} was a no-op here"
+                    "the op at version {v} did not take effect here"
                 )));
             }
         }
@@ -530,10 +438,19 @@ impl DatasetEntry {
         let mut inner = write_lock(&self.inner);
         if let Some(wal) = inner.wal.as_mut() {
             wal.append_batch(&[wal::epoch_record(epoch)])
-                .map_err(|e| RegistryError::Io(e.to_string()))?;
+                .map_err(io_failure)?;
         }
         Ok(())
     }
+}
+
+/// One insert op per row.
+fn inserts(rows: &[Vec<f64>]) -> impl ExactSizeIterator<Item = ChangeOp> + Clone + '_ {
+    rows.iter().map(|row| ChangeOp::Insert { row: row.clone() })
+}
+
+fn io_failure(e: std::io::Error) -> RegistryError {
+    RegistryError::Io(e.to_string())
 }
 
 fn validate_rows(rows: &[Vec<f64>], dims: usize) -> Result<(), RegistryError> {
@@ -639,10 +556,10 @@ impl Registry {
             recovered_epoch = recovered_epoch.max(recovered.epoch);
             recovery_replayed += recovered.replayed;
             recovery_log.push((name.clone(), recovered.replayed, recovered.stream.version()));
-            let entry = DatasetEntry::recovered(
+            let entry = DatasetEntry::new(
                 &name,
                 recovered.stream,
-                recovered.wal,
+                Some(recovered.wal),
                 recovered.records,
                 feed_retain,
             )
@@ -675,7 +592,7 @@ impl Registry {
         let Some(storage) = &self.storage else {
             return Ok(());
         };
-        wal::write_node_epoch(&storage.dir, epoch).map_err(|e| RegistryError::Io(e.to_string()))?;
+        wal::write_node_epoch(&storage.dir, epoch).map_err(io_failure)?;
         let entries: Vec<Arc<DatasetEntry>> = self
             .datasets
             .read()
@@ -710,7 +627,9 @@ impl Registry {
     }
 
     /// Create a dataset from rows. `dims` must be given when `rows` is
-    /// empty; otherwise it must match the rows.
+    /// empty; otherwise it must match the rows. A durable registry logs
+    /// the `create` line and every row's line in one append before it
+    /// applies a row.
     pub fn create(
         &self,
         name: &str,
@@ -727,13 +646,18 @@ impl Registry {
                 return Err(RegistryError::Exists(name.to_string()));
             }
         }
-        let entry = Arc::new(DatasetEntry::new(
-            name,
-            dims,
-            rows,
-            self.storage.as_ref(),
-            self.feed_retain,
-        )?);
+        let stream =
+            StreamingSkyline::new(dims).map_err(|e| RegistryError::BadData(e.to_string()))?;
+        validate_rows(rows, dims)?;
+        let wal = self
+            .storage
+            .as_ref()
+            .map(|config| DatasetWal::create(config, name));
+        let wal = wal.transpose().map_err(io_failure)?;
+        let entry = DatasetEntry::new(name, stream, wal, Vec::new(), self.feed_retain)?;
+        let head = Some(wal::create_record(dims));
+        entry.commit(&mut write_lock(&entry.inner), head, inserts(rows))?;
+        let entry = Arc::new(entry);
         let mut map = self.datasets.write().unwrap_or_else(|e| e.into_inner());
         map.insert(name.to_string(), Arc::clone(&entry));
         Ok(entry)
@@ -749,7 +673,13 @@ impl Registry {
     ) -> Result<Arc<DatasetEntry>, RegistryError> {
         validate_name(name)?;
         let _creating = self.create_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let entry = Arc::new(DatasetEntry::replica(name, stream, self.feed_retain)?);
+        let entry = Arc::new(DatasetEntry::new(
+            name,
+            stream,
+            None,
+            Vec::new(),
+            self.feed_retain,
+        )?);
         let mut map = self.datasets.write().unwrap_or_else(|e| e.into_inner());
         map.insert(name.to_string(), Arc::clone(&entry));
         Ok(entry)

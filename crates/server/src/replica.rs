@@ -40,9 +40,8 @@ use std::time::Duration;
 
 use skyline_core::changelog::{ChangeOp, ChangeRecord};
 use skyline_core::delta::SkylineDelta;
-use skyline_core::point::PointId;
 use skyline_core::streaming::StreamingSkyline;
-use skyline_obs::json::Value;
+use skyline_obs::json::{Field, ObjectWriter, Value};
 use skyline_obs::{AtomicHistogram, Event};
 
 use crate::registry::ReplicaApply;
@@ -442,39 +441,52 @@ fn resync(
     Ok(version)
 }
 
+/// One change record on the feed wire: always the delta
+/// (`version`/`entered`/`left`), plus the raw operation (`row` for an
+/// insert, `remove` for a removal) when the consumer asked for
+/// `ops=1` — that is what lets a follower rebuild the full point set
+/// with identical handle assignment. [`parse_batch`] reads it back.
+pub(crate) fn record_json(record: &ChangeRecord, with_ops: bool) -> String {
+    let mut w = ObjectWriter::new();
+    w.field("version", &record.version())
+        .field("entered", &record.delta.entered)
+        .field("left", &record.delta.left);
+    if with_ops {
+        match &record.op {
+            ChangeOp::Insert { row } => w.field("row", row),
+            ChangeOp::Remove { id } => w.field("remove", id),
+        };
+    }
+    w.finish()
+}
+
 /// Parse a `/changes?ops=1` body into records plus the primary's
 /// `latest`. `None` on any shape surprise — the caller resyncs.
 pub fn parse_batch(v: &Value) -> Option<(Vec<ChangeRecord>, u64)> {
-    let latest = v.get("latest")?.as_u64()?;
-    let arr = v.get("records")?.as_arr()?;
-    let mut records = Vec::with_capacity(arr.len());
-    for r in arr {
-        let version = r.get("version")?.as_u64()?;
-        let entered = point_ids(r.get("entered")?)?;
-        let left = point_ids(r.get("left")?)?;
-        let op = if let Some(row) = r.get("row") {
-            let row: Option<Vec<f64>> = row.as_arr()?.iter().map(Value::as_f64).collect();
-            ChangeOp::Insert { row: row? }
-        } else if let Some(id) = r.get("remove").and_then(Value::as_u64) {
-            ChangeOp::Remove {
-                id: PointId::try_from(id).ok()?,
-            }
-        } else {
-            return None; // ops=1 was requested; a bare record is a bug
-        };
-        records.push(ChangeRecord {
-            op,
-            delta: SkylineDelta::from_events(entered, left, version),
-        });
-    }
-    Some((records, latest))
+    let latest = Field::read(v.get("latest")?)?;
+    let records = v.get("records")?.as_arr()?.iter().map(read_record);
+    Some((records.collect::<Option<_>>()?, latest))
 }
 
-fn point_ids(v: &Value) -> Option<Vec<PointId>> {
-    v.as_arr()?
-        .iter()
-        .map(|x| x.as_u64().and_then(|n| PointId::try_from(n).ok()))
-        .collect()
+/// One record [`record_json`] wrote with `ops=1`. A record with neither
+/// `row` nor `remove` is refused: `ops=1` was requested.
+fn read_record(r: &Value) -> Option<ChangeRecord> {
+    let op = match (r.get("row"), r.get("remove")) {
+        (Some(row), _) => ChangeOp::Insert {
+            row: Field::read(row)?,
+        },
+        (None, Some(id)) => ChangeOp::Remove {
+            id: Field::read(id)?,
+        },
+        (None, None) => return None,
+    };
+    let entered = Field::read(r.get("entered")?)?;
+    let left = Field::read(r.get("left")?)?;
+    let version = Field::read(r.get("version")?)?;
+    Some(ChangeRecord {
+        op,
+        delta: SkylineDelta::from_events(entered, left, version),
+    })
 }
 
 #[cfg(test)]
@@ -483,6 +495,56 @@ mod tests {
 
     fn addr(port: u16) -> SocketAddr {
         format!("127.0.0.1:{port}").parse().unwrap()
+    }
+
+    /// The feed records of one script, byte for byte as earlier
+    /// releases wrote them, with and without `ops=1`; and read back.
+    #[test]
+    fn feed_records_are_written_byte_for_byte_and_read_back() {
+        let registry = crate::registry::Registry::new();
+        let entry = registry
+            .create("g", 2, &[vec![1.0, 5.0], vec![5.0, 1.0]])
+            .unwrap();
+        let rows = [vec![f64::NEG_INFINITY, 0.1], vec![f64::INFINITY, -1.5]];
+        entry.insert_rows(&rows).unwrap();
+        entry.remove_ids(&[2, 0]).unwrap();
+        let batch = entry.changes_since(2, 100).unwrap();
+        let with_ops: Vec<String> = batch.records.iter().map(|r| record_json(r, true)).collect();
+        assert_eq!(
+            with_ops,
+            [
+                r#"{"version":3,"entered":[2],"left":[0,1],"row":[-1e999,0.1]}"#,
+                r#"{"version":4,"entered":[3],"left":[],"row":[1e999,-1.5]}"#,
+                r#"{"version":5,"entered":[0,1],"left":[2],"remove":2}"#,
+                r#"{"version":6,"entered":[],"left":[0],"remove":0}"#,
+            ]
+        );
+        let bare: Vec<String> = batch
+            .records
+            .iter()
+            .map(|r| record_json(r, false))
+            .collect();
+        assert_eq!(
+            bare,
+            [
+                r#"{"version":3,"entered":[2],"left":[0,1]}"#,
+                r#"{"version":4,"entered":[3],"left":[]}"#,
+                r#"{"version":5,"entered":[0,1],"left":[2]}"#,
+                r#"{"version":6,"entered":[],"left":[0]}"#,
+            ]
+        );
+        let body = format!(r#"{{"latest":6,"records":[{}]}}"#, with_ops.join(","));
+        let parsed = parse_batch(&Value::parse(&body).unwrap()).unwrap();
+        assert_eq!(parsed, (batch.records, 6));
+        // A bare record, a fractional id or a handle past u32 is refused.
+        for bad in [
+            bare[0].clone(),
+            with_ops[2].replace(":2}", ":2.5}"),
+            with_ops[2].replace(":2}", ":4294967296}"),
+        ] {
+            let body = format!(r#"{{"latest":6,"records":[{bad}]}}"#);
+            assert_eq!(parse_batch(&Value::parse(&body).unwrap()), None, "{bad}");
+        }
     }
 
     #[test]

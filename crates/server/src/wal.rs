@@ -110,7 +110,7 @@ pub struct Recovered {
     pub stream: StreamingSkyline,
     /// The reopened log, positioned for appends.
     pub wal: DatasetWal,
-    /// Log records applied on top of the snapshot.
+    /// Log records applied on top of the snapshot: `records.len()`.
     pub replayed: u64,
     /// Every replayed record as a [`ChangeRecord`] — the operation plus
     /// the skyline delta it produced, in replay order: the same
@@ -172,6 +172,15 @@ pub fn insert_record(row: &[f64], v: u64) -> String {
 /// A `remove` record; `v` is the content version after the removal.
 pub fn remove_record(id: PointId, v: u64) -> String {
     WalRecord::Remove { v, id }.to_json_with(|_| {})
+}
+
+/// The `insert` or `remove` record of `op`, which moves the dataset to
+/// version `v`.
+pub(crate) fn op_record(op: &ChangeOp, v: u64) -> String {
+    match op {
+        ChangeOp::Insert { row } => insert_record(row, v),
+        ChangeOp::Remove { id } => remove_record(*id, v),
+    }
 }
 
 /// An `epoch` record marking that the node began serving this dataset
@@ -397,7 +406,6 @@ pub fn recover(config: &StorageConfig, name: &str) -> io::Result<Option<Recovere
     } else {
         Vec::new()
     };
-    let mut replayed = 0u64;
     let mut records = Vec::new();
     let mut epoch = 0u64;
     let mut offset = 0usize; // start of the current line
@@ -412,59 +420,36 @@ pub fn recover(config: &StorageConfig, name: &str) -> io::Result<Option<Recovere
             .ok()
             .and_then(parse_record);
         let Some(record) = parsed else { break };
-        let applied = match record {
-            WalRecord::Create { dims, .. } => match stream {
+        let op = match record {
+            WalRecord::Create { dims, .. } => {
                 // A snapshot supersedes the create record.
-                Some(_) => true,
-                None => match StreamingSkyline::new(dims) {
-                    Ok(s) => {
-                        stream = Some(s);
-                        true
-                    }
-                    Err(_) => false,
-                },
-            },
-            WalRecord::Insert { v, row } => match stream.as_mut() {
-                Some(s) if v > s.version() => match s.insert_delta(&row, &mut metrics) {
-                    Ok((_, delta)) => {
-                        replayed += 1;
-                        records.push(ChangeRecord {
-                            op: ChangeOp::Insert { row },
-                            delta,
-                        });
-                        true
-                    }
-                    Err(_) => false,
-                },
-                Some(_) => true, // already in the snapshot
-                None => false,
-            },
-            WalRecord::Remove { v, id } => match stream.as_mut() {
-                Some(s) if v > s.version() => {
-                    // A no-op remove means the log disagrees with the
-                    // state; treat the rest as corrupt.
-                    match s.remove_delta(id, &mut metrics) {
-                        Some(delta) => {
-                            replayed += 1;
-                            records.push(ChangeRecord {
-                                op: ChangeOp::Remove { id },
-                                delta,
-                            });
-                            true
-                        }
-                        None => false,
-                    }
+                if stream.is_none() {
+                    let Ok(s) = StreamingSkyline::new(dims) else {
+                        break;
+                    };
+                    stream = Some(s);
                 }
-                Some(_) => true,
-                None => false,
-            },
+                None
+            }
+            WalRecord::Insert { v, row } => Some((v, ChangeOp::Insert { row })),
+            WalRecord::Remove { v, id } => Some((v, ChangeOp::Remove { id })),
             WalRecord::Epoch { epoch: e } => {
                 epoch = epoch.max(e);
-                true
+                None
             }
         };
-        if !applied {
-            break;
+        if let Some((v, op)) = op {
+            let Some(s) = stream.as_mut() else { break };
+            // Records at or below the snapshot's version are already in
+            // it. An op that does not take effect (a no-op remove, say)
+            // means the log disagrees with the state: the rest is
+            // treated as corrupt.
+            if v > s.version() {
+                let Some((_, delta)) = op.apply(s, &mut metrics) else {
+                    break;
+                };
+                records.push(ChangeRecord { op, delta });
+            }
         }
         offset = line_end + 1;
         good_end = offset;
@@ -498,7 +483,7 @@ pub fn recover(config: &StorageConfig, name: &str) -> io::Result<Option<Recovere
     Ok(Some(Recovered {
         stream,
         wal,
-        replayed,
+        replayed: records.len() as u64,
         records,
         epoch,
     }))

@@ -107,6 +107,71 @@ fn wal_io_error_rejects_the_write_whole_then_recovers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A remove whose WAL append fails leaves no trace: not in memory, not
+/// on the change feed, not in the versions later writes get, and not
+/// after a restart.
+#[test]
+fn wal_io_error_on_a_remove_leaves_no_trace() {
+    let _scope = FaultScope::enter();
+    let dir = temp_data_dir("walremove");
+    let start = || {
+        Server::start(ServerConfig {
+            data_dir: Some(dir.clone()),
+            fsync: FsyncPolicy::Always,
+            ..ServerConfig::default()
+        })
+        .unwrap()
+    };
+    let server = start();
+    let addr = server.local_addr();
+    let created = client::post(
+        addr,
+        "/datasets",
+        r#"{"name": "r", "rows": [[1, 5], [5, 1], [6, 6]]}"#,
+    )
+    .unwrap();
+    assert_eq!(created.status, 201, "{}", created.body_str());
+
+    faults::inject("wal_append", Fault::IoError(1));
+    let failed = client::request(addr, "DELETE", "/datasets/r/points", br#"{"ids": [0]}"#).unwrap();
+    assert_eq!(failed.status, 500, "{}", failed.body_str());
+
+    let listed = client::get(addr, "/datasets").unwrap().body_str();
+    assert!(
+        listed.contains(r#""points":3,"skyline":2,"version":3"#),
+        "{listed}"
+    );
+    let changes = "/datasets/r/changes?since=3&ops=1";
+    let feed = client::get(addr, changes).unwrap().body_str();
+    assert!(feed.contains(r#""records":[]"#), "{feed}");
+
+    let ok = client::post(addr, "/datasets/r/points", r#"{"rows": [[7, 7]]}"#).unwrap();
+    assert_eq!(ok.status, 200, "{}", ok.body_str());
+    let acked = Value::parse(&ok.body_str()).unwrap();
+    assert_eq!(acked.get("version").and_then(Value::as_u64), Some(4));
+    let skyline = |addr| {
+        let resp = client::get(addr, "/skyline?dataset=r&algo=SFS").unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body_str());
+        let (version, _, ids) = parse_skyline_response(&resp.body_str());
+        (version, ids)
+    };
+    let before = (
+        skyline(addr),
+        client::get(addr, changes).unwrap().body_str(),
+    );
+    assert_eq!(before.0, (4, vec![0, 1]), "point 0 is still live");
+
+    drop(server);
+    let server = start();
+    let addr = server.local_addr();
+    let after = (
+        skyline(addr),
+        client::get(addr, changes).unwrap().body_str(),
+    );
+    assert_eq!(after, before, "a restart answers as before it");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Slow WAL writes slow the ack but do not fail it.
 #[test]
 fn slow_wal_writes_delay_the_ack_but_succeed() {

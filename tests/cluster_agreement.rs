@@ -4,6 +4,7 @@
 //! subset* (not an error) when a shard dies.
 
 use std::net::SocketAddr;
+use std::time::{Duration, Instant};
 
 use skyline_cluster::shard_map::shard_of;
 use skyline_cluster::{Cluster, ClusterConfig, ClusterHandle};
@@ -479,6 +480,59 @@ fn large_synthetic_creates_reach_shards_in_bounded_bodies() {
         answers.push(v.get("ids").cloned().expect("ids"));
     }
     assert_eq!(answers[0], answers[1], "node and coordinator disagree");
+}
+
+/// A large create holds no lock other requests need while it fans
+/// out: a read of another dataset answers at once, and a second create
+/// of the same name is refused with 409 while the first is in flight.
+#[test]
+fn creates_in_flight_block_neither_reads_nor_duplicate_checks() {
+    let (shards, coordinator) = start_cluster(2);
+    let coord = coordinator.local_addr();
+    create_dataset(
+        coord,
+        "small",
+        &[vec![1.0, 5.0], vec![5.0, 1.0], vec![6.0, 6.0]],
+    );
+    let big = r#"{"name":"big","synthetic":{"n":40000,"dims":8}}"#;
+    let started = Instant::now();
+    let create = std::thread::spawn(move || {
+        let resp = http_client::post(coord, "/datasets", big).expect("create");
+        (resp.status, started.elapsed())
+    });
+    // The fan-out has begun once a shard lists the new dataset.
+    let shard = shards[0].local_addr();
+    while !http_client::get(shard, "/datasets")
+        .expect("shard listing")
+        .body_str()
+        .contains("\"big\"")
+    {
+        assert!(!create.is_finished(), "create ended before its fan-out");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let read_started = Instant::now();
+    let (ids, partial, _) = query_skyline(coord, "small");
+    let read = read_started.elapsed();
+    assert_eq!((ids, partial), (vec![0, 1], false));
+    let again = http_client::post(coord, "/datasets", big).expect("second create");
+    assert_eq!(again.status, 409, "{}", again.body_str());
+    assert!(
+        !create.is_finished(),
+        "the reads ran while the create was in flight"
+    );
+    let (status, took) = create.join().expect("create thread");
+    assert_eq!(status, 201);
+    assert!(
+        read * 10 < took,
+        "a read during a create took {read:?} of the create's {took:?}"
+    );
+    let listed = http_client::get(coord, "/datasets")
+        .expect("listing")
+        .body_str();
+    assert!(
+        listed.contains(r#""name":"big","dims":8,"points":40000"#),
+        "{listed}"
+    );
 }
 
 /// Metric counter from the coordinator's `/metrics` JSON.
