@@ -107,13 +107,22 @@ if [[ "$quick" != "quick" ]]; then
         | grep -q '"cached":false'
     curl -sf "http://$addr/skyline?dataset=ci&algo=SDI-Subset" \
         | grep -q '"cached":true'
-    curl -sf -X POST "http://$addr/datasets/ci/points" \
+    # A write explains itself: its reply carries the registry's stages.
+    curl -sf -D "$tmp/insert-hdrs" -X POST "http://$addr/datasets/ci/points" \
         -d '{"rows": [[0.001, 0.001, 0.001, 0.001]]}' \
         | grep -q '"cache_patched":1'
+    grep -qi '^x-skyline-stage-times: .*lock=.*apply=' "$tmp/insert-hdrs"
     curl -sf "http://$addr/skyline?dataset=ci&algo=SDI-Subset" \
         | grep -q '"cached":true'
     curl -sf "http://$addr/metrics" | grep -q '"hits":2'
     curl -sf "http://$addr/metrics" | grep -q '"patched":1'
+    # The write left the read snapshot empty and the patched read did not
+    # need rows, so the first read with rows builds it.
+    curl -sf -D "$tmp/rows-hdrs" \
+        "http://$addr/skyline?dataset=ci&algo=SDI-Subset&include_rows=1" \
+        > "$tmp/rows-body"
+    grep -q '"cached":true' "$tmp/rows-body"
+    grep -qi '^x-skyline-stage-times: .*snapshot=' "$tmp/rows-hdrs"
     # Save the body first: `grep -q` closing the pipe early makes curl
     # fail with exit 23 under pipefail.
     curl -sf "http://$addr/metrics?format=prometheus" > "$tmp/serve-prom.txt"

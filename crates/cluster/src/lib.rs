@@ -199,7 +199,11 @@ struct Shared {
     shard_count: usize,
     topology: std::sync::RwLock<Topology>,
     shard_stats: Vec<ShardStats>,
-    datasets: Mutex<HashMap<String, DatasetState>>,
+    /// The registry. Its lock guards the name table only and is held
+    /// just for a lookup; each dataset's state has its own lock, which a
+    /// write holds across its shard fan-out, so versions and handle maps
+    /// stay in order while requests for other datasets go on.
+    datasets: Mutex<HashMap<String, Arc<Mutex<DatasetState>>>>,
     /// Names whose create is fanning out. A name is reserved here under
     /// the `datasets` lock, so the fan-out runs without that lock and a
     /// racing create of the same name still gets 409.
@@ -346,7 +350,12 @@ impl Cluster {
                 epochs: promote_epochs,
                 stale,
             }),
-            datasets: Mutex::new(datasets),
+            datasets: Mutex::new(
+                datasets
+                    .into_iter()
+                    .map(|(name, state)| (name, Arc::new(Mutex::new(state))))
+                    .collect(),
+            ),
             creating: Mutex::new(HashSet::new()),
             manifest,
             replayed,
@@ -776,16 +785,42 @@ fn dataset_info_json(name: &str, state: &DatasetState, shard_count: usize) -> St
     w.finish()
 }
 
-fn handle_list(shared: &Shared) -> Response {
-    let datasets = shared.datasets.lock().unwrap_or_else(|e| e.into_inner());
-    let mut names: Vec<&String> = datasets.keys().collect();
-    names.sort();
-    let objs: Vec<String> = names
+/// [`dataset_info_json`] of every dataset, sorted by name. The registry
+/// lock is held only to copy the entries out; a dataset with a write in
+/// flight is described once that write ends.
+fn dataset_objs(shared: &Shared) -> Vec<String> {
+    let mut entries: Vec<(String, Arc<Mutex<DatasetState>>)> = shared
+        .datasets
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
         .iter()
-        .map(|n| dataset_info_json(n, &datasets[*n], shared.shard_count))
+        .map(|(name, state)| (name.clone(), Arc::clone(state)))
         .collect();
+    entries.sort_by(|a, b| a.0.cmp(&b.0));
+    entries
+        .iter()
+        .map(|(name, state)| {
+            let state = state.lock().unwrap_or_else(|e| e.into_inner());
+            dataset_info_json(name, &state, shared.shard_count)
+        })
+        .collect()
+}
+
+/// The named dataset's state, looked up under the registry lock, which
+/// is released before the caller locks the state.
+fn dataset(shared: &Shared, name: &str) -> Result<Arc<Mutex<DatasetState>>, Response> {
+    shared
+        .datasets
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .get(name)
+        .cloned()
+        .ok_or_else(|| no_dataset(name))
+}
+
+fn handle_list(shared: &Shared) -> Response {
     let mut w = ObjectWriter::new();
-    w.raw_field("datasets", &format!("[{}]", objs.join(",")));
+    w.raw_field("datasets", &format!("[{}]", dataset_objs(shared).join(",")));
     Response::json(200, w.finish())
 }
 
@@ -863,14 +898,7 @@ fn metrics_json(shared: &Shared) -> String {
             w.finish()
         })
         .collect();
-    let datasets = shared.datasets.lock().unwrap_or_else(|e| e.into_inner());
-    let mut names: Vec<&String> = datasets.keys().collect();
-    names.sort();
-    let dataset_objs: Vec<String> = names
-        .iter()
-        .map(|n| dataset_info_json(n, &datasets[*n], shared.shard_count))
-        .collect();
-    drop(datasets);
+    let dataset_objs = dataset_objs(shared);
     let manifest_bytes = shared
         .manifest
         .as_ref()
@@ -1097,7 +1125,7 @@ fn handle_create(shared: &Shared, req: &Request) -> Result<Response, Response> {
     let points = state.live;
     let version = state.version;
     let mut datasets = shared.datasets.lock().unwrap_or_else(|e| e.into_inner());
-    datasets.insert(name.to_string(), state);
+    datasets.insert(name.to_string(), Arc::new(Mutex::new(state)));
     drop(datasets);
     outcome?;
     let mut w = ObjectWriter::new();
@@ -1155,10 +1183,11 @@ fn quoted(s: &str) -> String {
 
 /// `POST /datasets/{name}/points` — body `{"rows": [[...], ...]}`;
 /// rows get fresh global ids and are routed to their owning shards.
+/// Holds the dataset's own lock across the fan-out.
 fn handle_insert(shared: &Shared, name: &str, req: &Request) -> Result<Response, Response> {
     let rows = api::insert_rows(req)?;
-    let mut datasets = shared.datasets.lock().unwrap_or_else(|e| e.into_inner());
-    let state = datasets.get_mut(name).ok_or_else(|| no_dataset(name))?;
+    let state = dataset(shared, name)?;
+    let mut state = state.lock().unwrap_or_else(|e| e.into_inner());
     if rows.iter().any(|r| r.len() != state.dims) {
         return Err(Response::error(
             400,
@@ -1171,7 +1200,7 @@ fn handle_insert(shared: &Shared, name: &str, req: &Request) -> Result<Response,
     state.next_global += rows.len() as u64;
     let version = state.version + 1;
     let groups = partition_rows(&rows, first_global, shared.shard_count);
-    let outcome = fan_out_insert(shared, name, state, &groups, version);
+    let outcome = fan_out_insert(shared, name, &mut state, &groups, version);
     state.version = version;
     outcome?;
     let globals: Vec<u64> = (first_global..first_global + rows.len() as u64).collect();
@@ -1188,11 +1217,12 @@ fn no_dataset(name: &str) -> Response {
 }
 
 /// `DELETE /datasets/{name}/points` — body `{"ids": [...]}` with
-/// *global* ids; the registry maps them to shard-local handles.
+/// *global* ids; the registry maps them to shard-local handles. Holds
+/// the dataset's own lock across the fan-out.
 fn handle_remove(shared: &Shared, name: &str, req: &Request) -> Result<Response, Response> {
     let globals = api::remove_ids(req, u64::MAX)?;
-    let mut datasets = shared.datasets.lock().unwrap_or_else(|e| e.into_inner());
-    let state = datasets.get_mut(name).ok_or_else(|| no_dataset(name))?;
+    let state = dataset(shared, name)?;
+    let mut state = state.lock().unwrap_or_else(|e| e.into_inner());
     // Resolve before mutating: only ids the owning shard acknowledges
     // deleting leave the registry.
     let shard_count = shared.shard_count;
@@ -1377,12 +1407,12 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response, Response> 
     let budget = query.deadline_ms.map(Duration::from_millis);
     timer.mark("accept");
 
-    // Snapshot the registry: dims, version and the per-shard
+    // Snapshot the dataset: dims, version and the per-shard
     // handle→global maps (Arc clones — the query must not block behind
     // later mutations, nor see half of one).
     let (total_dims, version, handle_maps) = {
-        let datasets = shared.datasets.lock().unwrap_or_else(|e| e.into_inner());
-        let state = datasets.get(name).ok_or_else(|| no_dataset(name))?;
+        let state = dataset(shared, name)?;
+        let state = state.lock().unwrap_or_else(|e| e.into_inner());
         (state.dims, state.version, state.handle_to_global.clone())
     };
 

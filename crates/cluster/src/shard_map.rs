@@ -36,7 +36,7 @@ fn splitmix64(mut x: u64) -> u64 {
 ///
 /// The per-shard handle maps sit behind `Arc` so a `/skyline` query can
 /// snapshot them without cloning point-count-sized tables while holding
-/// the registry lock; mutations copy-on-write via [`Arc::make_mut`].
+/// the dataset's lock; mutations copy-on-write via [`Arc::make_mut`].
 #[derive(Debug, Clone)]
 pub struct DatasetState {
     /// Dimensionality, fixed at creation.

@@ -17,8 +17,9 @@
 //! - [`api`] — the one parser for the request shapes both services
 //!   accept, and the head of every `/skyline` answer;
 //! - [`registry`] — named datasets, each a [`StreamingSkyline`] plus an
-//!   immutable snapshot rebuilt on mutation, behind an `RwLock` so
-//!   readers only pay an `Arc` clone;
+//!   immutable snapshot of its rows, behind an `RwLock`. A write only
+//!   empties the snapshot slot; the first read that needs rows at a
+//!   version builds it once, and later readers pay an `Arc` clone;
 //! - [`cache`] — an LRU over results keyed by (dataset, **content
 //!   version**, algorithm, subspace mask, k, threads); the version in the
 //!   key makes staleness impossible, explicit invalidation on mutation
@@ -82,7 +83,7 @@ use skyline_core::metrics::Metrics;
 use skyline_core::point::PointId;
 use skyline_core::subspace::Subspace;
 use skyline_obs::json::{self, ObjectWriter, Value};
-use skyline_obs::trace::StageTimer;
+use skyline_obs::trace::{self, StageTimer};
 use skyline_obs::Event;
 
 use api::{parse_body, NewDataset, SkylineHead, SkylineQuery};
@@ -925,41 +926,50 @@ fn handle_create(shared: &Shared, req: &Request) -> Response {
     }
 }
 
-/// Carry the result cache across a mutation and trace the delta.
+/// Carry the result cache across a mutation, trace the delta, and
+/// account for the write.
 ///
 /// Patches forward every full-space skyline entry sitting at the
 /// mutation's base version, drops the rest, bumps the `cache_patched`
 /// counter, and emits one `delta_applied` trace event — the observable
-/// spine of the incremental-maintenance path.
+/// spine of the incremental-maintenance path. The registry's stages
+/// plus this one, `patch`, go into the `/metrics` stage histograms and
+/// come back encoded for the reply's stage-times header.
 fn apply_mutation(
     shared: &Shared,
     name: &str,
     dims: usize,
     mutation: &registry::Mutation,
     trace_id: &str,
-) -> cache::PatchOutcome {
-    if mutation.version == mutation.base_version {
-        // Nothing changed (empty batch / no live removals): every cached
-        // entry is still exact and there is no delta to trace.
-        return cache::PatchOutcome::default();
-    }
-    let out = shared.cache.patch_dataset(
-        name,
-        Subspace::full(dims).bits(),
-        mutation.base_version,
-        &mutation.delta,
-    );
-    shared.front.emit(Event::DeltaApplied {
-        dataset: name.to_string(),
-        base_version: mutation.base_version,
-        version: mutation.version,
-        entered: mutation.delta.entered.len() as u64,
-        left: mutation.delta.left.len() as u64,
-        cache_patched: out.patched as u64,
-        cache_invalidated: out.invalidated as u64,
-        trace: trace_id.to_string(),
-    });
-    out
+) -> (cache::PatchOutcome, String) {
+    let started = Instant::now();
+    // An unchanged version (empty batch / no live removals) leaves every
+    // cached entry exact, with no delta to trace.
+    let out = if mutation.version == mutation.base_version {
+        cache::PatchOutcome::default()
+    } else {
+        let out = shared.cache.patch_dataset(
+            name,
+            Subspace::full(dims).bits(),
+            mutation.base_version,
+            &mutation.delta,
+        );
+        shared.front.emit(Event::DeltaApplied {
+            dataset: name.to_string(),
+            base_version: mutation.base_version,
+            version: mutation.version,
+            entered: mutation.delta.entered.len() as u64,
+            left: mutation.delta.left.len() as u64,
+            cache_patched: out.patched as u64,
+            cache_invalidated: out.invalidated as u64,
+            trace: trace_id.to_string(),
+        });
+        out
+    };
+    let mut stages = mutation.stages.clone();
+    stages.push(("patch".to_string(), started.elapsed().as_micros() as u64));
+    shared.front.metrics.record_stages(&stages);
+    (out, trace::encode_stage_times(&stages))
 }
 
 /// Shared tail of the mutation responses: version movement, skyline
@@ -991,13 +1001,13 @@ fn handle_insert(shared: &Shared, name: &str, req: &Request) -> Result<Response,
     let entry = shared.registry.get(name).map_err(registry_response)?;
     let rows = api::insert_rows(req)?;
     let (ids, mutation) = entry.insert_rows(&rows).map_err(registry_response)?;
-    let out = apply_mutation(shared, name, entry.dims(), &mutation, &trace_id);
+    let (out, stage_times) = apply_mutation(shared, name, entry.dims(), &mutation, &trace_id);
     let ids64: Vec<u64> = ids.iter().map(|&i| i as u64).collect();
     let mut w = ObjectWriter::new();
     w.u64_field("inserted", ids.len() as u64)
         .u64_array_field("ids", &ids64);
     mutation_json_fields(&mut w, &mutation, &out, shared.failover.epoch());
-    Ok(Response::json(200, w.finish()))
+    Ok(Response::json(200, w.finish()).with_header(trace::STAGE_TIMES_HEADER, &stage_times))
 }
 
 /// `DELETE /datasets/{name}/points` — body `{"ids": [...]}`.
@@ -1009,11 +1019,11 @@ fn handle_remove(shared: &Shared, name: &str, req: &Request) -> Result<Response,
         .map(|id| id as PointId)
         .collect();
     let (removed, mutation) = entry.remove_ids(&ids).map_err(registry_response)?;
-    let out = apply_mutation(shared, name, entry.dims(), &mutation, &trace_id);
+    let (out, stage_times) = apply_mutation(shared, name, entry.dims(), &mutation, &trace_id);
     let mut w = ObjectWriter::new();
     w.u64_field("removed", removed as u64);
     mutation_json_fields(&mut w, &mutation, &out, shared.failover.epoch());
-    Ok(Response::json(200, w.finish()))
+    Ok(Response::json(200, w.finish()).with_header(trace::STAGE_TIMES_HEADER, &stage_times))
 }
 
 /// Optional `/skyline` response payload behind `include_masks=1` /
@@ -1173,6 +1183,19 @@ fn min_version_gate(
     }
 }
 
+/// `entry`'s snapshot of its current version, marking a `snapshot`
+/// stage on `timer` when this read built it.
+fn take_snapshot(
+    entry: &registry::DatasetEntry,
+    timer: &mut StageTimer,
+) -> Arc<registry::Snapshot> {
+    let (snapshot, filled) = entry.snapshot_filled();
+    if filled {
+        timer.mark("snapshot");
+    }
+    snapshot
+}
+
 /// `GET /skyline?dataset=&algo=&dims=&k=&threads=&deadline_ms=`.
 fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response, Response> {
     let mut timer = StageTimer::start();
@@ -1221,10 +1244,18 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response, Response> 
     let mask = query.mask(entry.dims())?;
 
     timer.mark("parse");
-    let snapshot = entry.snapshot();
-    let key = CacheKey {
+    // One cache probe, keyed by the version of the rows the answer
+    // needs. A read with extras maps its answer onto rows, so it takes
+    // the snapshot first and probes at the snapshot's version. Any other
+    // read probes at the current version and takes the snapshot only on
+    // a miss, answering at the version of the rows it computed on.
+    let wants_extras = include_masks || include_rows;
+    let snapshot = wants_extras.then(|| take_snapshot(&entry, &mut timer));
+    let mut key = CacheKey {
         dataset: name.to_string(),
-        version: snapshot.version,
+        version: snapshot
+            .as_ref()
+            .map_or_else(|| entry.version(), |s| s.version),
         algorithm: algo.name().to_string(),
         mask_bits: mask.bits(),
         k,
@@ -1235,14 +1266,14 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response, Response> 
         shared.front.emit(Event::CacheHit {
             dataset: name.to_string(),
             algorithm: algo.name().to_string(),
-            version: snapshot.version,
+            version: key.version,
             trace: trace_id.clone(),
         });
         // Extras are derived data, not cached: map the cached handles
         // back to row indices (the handle list is ascending) and
-        // recompute. The cache key pins the version, so the snapshot
-        // still describes exactly the cached result.
-        let extras = (include_masks || include_rows).then(|| {
+        // recompute. The key was probed at the snapshot's version, so
+        // the snapshot describes exactly the cached result.
+        let extras = snapshot.as_ref().map(|snapshot| {
             let projected: Option<Dataset> = match &snapshot.dataset {
                 Some(data) if mask != full => Some(data.project_dims(mask)),
                 _ => None,
@@ -1277,6 +1308,8 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response, Response> 
             .finish_skyline(timer, &trace_id, String::new(), resp));
     }
     timer.mark("cache");
+    let snapshot = snapshot.unwrap_or_else(|| take_snapshot(&entry, &mut timer));
+    key.version = snapshot.version;
 
     // The deadline starts at compute time: parsing and cache probing are
     // bounded, the algorithm run is not.
@@ -1292,7 +1325,7 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response, Response> 
     let mut extras: Option<SkylineExtras> = None;
     let ids: Vec<PointId> = match &snapshot.dataset {
         None => {
-            if include_masks || include_rows {
+            if wants_extras {
                 extras = Some(compute_extras(None, &[], include_masks, include_rows));
             }
             Vec::new()
@@ -1321,7 +1354,7 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response, Response> 
                     .map_err(|_| deadline_response())?
             };
             timer.mark("compute");
-            if include_masks || include_rows {
+            if wants_extras {
                 extras = Some(compute_extras(
                     Some(target),
                     &rows,
@@ -1357,7 +1390,6 @@ fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response, Response> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skyline_obs::trace;
 
     fn start_test_server() -> ServerHandle {
         Server::start(ServerConfig {
@@ -1508,6 +1540,15 @@ mod tests {
         assert_eq!(resp.header(trace::TRACE_HEADER), Some("abc123"));
         let stage_times = resp.header(trace::STAGE_TIMES_HEADER).expect("stage times");
         let stages = trace::decode_stage_times(stage_times);
+        let names: Vec<&str> = stages.iter().map(|(n, _)| n.as_str()).collect();
+        // The first read after creation builds the version's snapshot.
+        assert_eq!(
+            names,
+            ["parse", "cache", "snapshot", "compute", "extras", "respond"]
+        );
+        // A miss at a version whose snapshot is built has no such stage.
+        let other = client::get(addr, "/skyline?dataset=tr&algo=SFS").unwrap();
+        let stages = trace::decode_stage_times(other.header(trace::STAGE_TIMES_HEADER).unwrap());
         let names: Vec<&str> = stages.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["parse", "cache", "compute", "extras", "respond"]);
 

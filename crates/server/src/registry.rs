@@ -1,12 +1,15 @@
 //! The dataset registry: named, resident, mutable datasets.
 //!
 //! Each dataset is a [`StreamingSkyline`] (so inserts and deletes update
-//! the skyline incrementally) plus a cached immutable *snapshot* — the
-//! live rows materialised as a batch [`Dataset`] with a row-index →
-//! stream-handle map. The snapshot is rebuilt under the write lock at
-//! mutation time, so readers never pay the materialisation: they take the
-//! read lock just long enough to clone an `Arc`, then compute against a
-//! consistent version with no locks held.
+//! the skyline incrementally) plus a lazily built immutable *snapshot* —
+//! the live rows materialised as a batch [`Dataset`] with a row-index →
+//! stream-handle map. A mutation only empties the snapshot slot, so a
+//! write never copies the rows. The first reader that needs rows at a
+//! version fills the slot under the read lock, once per version (one
+//! O(live rows) copy); every later reader at that version clones an
+//! `Arc` and computes against a consistent version with no locks held.
+//! A read answered from the result cache needs only
+//! [`DatasetEntry::version`] and never fills the slot.
 //!
 //! Every mutation takes one path. A live write (creation, insert,
 //! remove) becomes a batch of [`ChangeOp`]s that each take effect, and
@@ -23,7 +26,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use skyline_core::changelog::{ChangeLog, ChangeOp, ChangeRecord, FeedBatch, FeedGone};
@@ -32,6 +35,7 @@ use skyline_core::delta::SkylineDelta;
 use skyline_core::metrics::Metrics;
 use skyline_core::point::PointId;
 use skyline_core::streaming::StreamingSkyline;
+use skyline_obs::trace::StageTimer;
 
 use crate::wal::{self, DatasetWal, StorageConfig};
 
@@ -98,6 +102,11 @@ pub struct Mutation {
     pub skyline_len: usize,
     /// Net skyline-membership change, `base_version` → `version`.
     pub delta: SkylineDelta,
+    /// Where the batch's time went under the registry, in microseconds
+    /// and in the order the stages ran: `lock` (waiting for the write
+    /// lock), `wal`, `apply`, and, when the batch changed something,
+    /// `compact` and `notify`.
+    pub stages: Vec<(String, u64)>,
 }
 
 /// Summary row for listings and `/metrics`.
@@ -132,14 +141,16 @@ pub enum ReplicaApply {
 
 struct Inner {
     stream: StreamingSkyline,
-    snapshot: Arc<Snapshot>,
+    /// The read snapshot of the current version, filled on first demand
+    /// by [`DatasetEntry::snapshot`]; every mutation empties it.
+    snapshot: OnceLock<Arc<Snapshot>>,
     /// Durability log; `None` for a memory-only registry.
     wal: Option<DatasetWal>,
     /// The bounded per-version change feed (see [`ChangeLog`]).
     changes: ChangeLog,
 }
 
-/// One named dataset: a streaming skyline plus its current snapshot.
+/// One named dataset: a streaming skyline plus its read snapshot.
 pub struct DatasetEntry {
     name: String,
     dims: usize,
@@ -157,22 +168,30 @@ fn read_lock(lock: &RwLock<Inner>) -> std::sync::RwLockReadGuard<'_, Inner> {
     lock.read().unwrap_or_else(|e| e.into_inner())
 }
 
-fn write_lock(lock: &RwLock<Inner>) -> std::sync::RwLockWriteGuard<'_, Inner> {
+fn write_lock(lock: &RwLock<Inner>) -> RwLockWriteGuard<'_, Inner> {
     lock.write().unwrap_or_else(|e| e.into_inner())
 }
 
-fn build_snapshot(stream: &StreamingSkyline) -> Result<Arc<Snapshot>, RegistryError> {
-    let (handles, rows) = stream.snapshot_rows();
-    let dataset = if rows.is_empty() {
-        None
-    } else {
-        Some(Dataset::from_rows(&rows).map_err(|e| RegistryError::BadData(e.to_string()))?)
-    };
-    Ok(Arc::new(Snapshot {
+/// Materialise the live rows of `stream`, walking its slots once into
+/// the handle list and one flat buffer.
+fn build_snapshot(stream: &StreamingSkyline) -> Snapshot {
+    let dims = stream.dims();
+    let mut handles = Vec::with_capacity(stream.len());
+    let mut values = Vec::with_capacity(stream.len() * dims);
+    for (id, row) in stream.slot_rows().into_iter().enumerate() {
+        if let Some(row) = row {
+            handles.push(id as PointId);
+            values.extend_from_slice(row);
+        }
+    }
+    let dataset = (!handles.is_empty()).then(|| {
+        Dataset::from_flat(values, dims).expect("stream rows were validated on the way in")
+    });
+    Snapshot {
         version: stream.version(),
         handles,
         dataset,
-    }))
+    }
 }
 
 impl DatasetEntry {
@@ -191,20 +210,19 @@ impl DatasetEntry {
         wal: Option<DatasetWal>,
         records: Vec<ChangeRecord>,
         feed_retain: usize,
-    ) -> Result<DatasetEntry, RegistryError> {
-        let snapshot = build_snapshot(&stream)?;
+    ) -> DatasetEntry {
         let version = stream.version();
-        Ok(DatasetEntry {
+        DatasetEntry {
             name: name.to_string(),
             dims: stream.dims(),
             inner: RwLock::new(Inner {
                 changes: ChangeLog::resume(version, records, feed_retain),
                 stream,
-                snapshot,
+                snapshot: OnceLock::new(),
                 wal,
             }),
             feed_signal: (Mutex::new(version), Condvar::new()),
-        })
+        }
     }
 
     /// Dataset name.
@@ -217,9 +235,29 @@ impl DatasetEntry {
         self.dims
     }
 
-    /// The current snapshot (lock held only for the `Arc` clone).
+    /// The snapshot of the current version, built by the first call
+    /// at that version (see [`DatasetEntry::snapshot_filled`]).
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&read_lock(&self.inner).snapshot)
+        self.snapshot_filled().0
+    }
+
+    /// The snapshot of the current version, and whether this call built
+    /// it. The build copies every live row once, under the read lock;
+    /// concurrent callers at the same version wait for that one build
+    /// instead of each copying the rows.
+    pub fn snapshot_filled(&self) -> (Arc<Snapshot>, bool) {
+        let inner = read_lock(&self.inner);
+        let mut filled = false;
+        let snapshot = inner.snapshot.get_or_init(|| {
+            filled = true;
+            Arc::new(build_snapshot(&inner.stream))
+        });
+        (Arc::clone(snapshot), filled)
+    }
+
+    /// Current content version: what a cached answer is keyed by.
+    pub fn version(&self) -> u64 {
+        read_lock(&self.inner).stream.version()
     }
 
     /// Summary counters.
@@ -262,7 +300,8 @@ impl DatasetEntry {
         rows: &[Vec<f64>],
     ) -> Result<(Vec<PointId>, Mutation), RegistryError> {
         validate_rows(rows, self.dims)?;
-        self.commit(&mut write_lock(&self.inner), None, inserts(rows))
+        let (mut inner, timer) = self.lock_for_write();
+        self.commit(&mut inner, timer, None, inserts(rows))
     }
 
     /// Remove points by handle, returning how many were live and the
@@ -276,15 +315,24 @@ impl DatasetEntry {
     /// the batch with nothing applied. A batch with no live handle logs
     /// nothing and leaves the version where it was.
     pub fn remove_ids(&self, ids: &[PointId]) -> Result<(usize, Mutation), RegistryError> {
-        let mut inner = write_lock(&self.inner);
+        let (mut inner, timer) = self.lock_for_write();
         let mut seen = HashSet::new();
         let ops: Vec<ChangeOp> = ids
             .iter()
             .filter(|&&id| inner.stream.get(id).is_some() && seen.insert(id))
             .map(|&id| ChangeOp::Remove { id })
             .collect();
-        let (removed, mutation) = self.commit(&mut inner, None, ops.into_iter())?;
+        let (removed, mutation) = self.commit(&mut inner, timer, None, ops.into_iter())?;
         Ok((removed.len(), mutation))
+    }
+
+    /// Take the write lock, timing the wait as the `lock` stage of the
+    /// timer returned with the guard.
+    fn lock_for_write(&self) -> (RwLockWriteGuard<'_, Inner>, StageTimer) {
+        let mut timer = StageTimer::start();
+        let inner = write_lock(&self.inner);
+        timer.mark("lock");
+        (inner, timer)
     }
 
     /// The one write path, under the write lock. Each of `ops` must take
@@ -294,13 +342,15 @@ impl DatasetEntry {
     /// appends their change records and runs [`Self::after_mutation`]
     /// once. A failed append leaves memory untouched. An empty batch
     /// changes nothing, so it skips the upkeep. Returns the handle each
-    /// op inserted or removed.
+    /// op inserted or removed, and the [`Mutation`] with `timer`'s
+    /// stages.
     ///
     /// `ops` is an iterator, walked once for the log lines and once to
     /// apply, so an insert batch never holds a second copy of its rows.
     fn commit(
         &self,
         inner: &mut Inner,
+        mut timer: StageTimer,
         head: Option<String>,
         ops: impl ExactSizeIterator<Item = ChangeOp> + Clone,
     ) -> Result<(Vec<PointId>, Mutation), RegistryError> {
@@ -313,6 +363,7 @@ impl DatasetEntry {
                 wal.append_batch(&lines).map_err(io_failure)?;
             }
         }
+        timer.mark("wal");
         let mut metrics = Metrics::new();
         let mut ids = Vec::with_capacity(ops.len());
         let mut deltas = Vec::with_capacity(ops.len());
@@ -324,33 +375,39 @@ impl DatasetEntry {
             deltas.push(delta.clone());
             inner.changes.append(ChangeRecord { op, delta });
         }
+        let delta =
+            SkylineDelta::coalesce(&deltas).unwrap_or_else(|| SkylineDelta::empty(base_version));
+        timer.mark("apply");
         if !ids.is_empty() {
-            self.after_mutation(inner)?;
+            self.after_mutation(inner, &mut timer);
         }
         let mutation = Mutation {
             base_version,
             version: inner.stream.version(),
             skyline_len: inner.stream.skyline_len(),
-            delta: SkylineDelta::coalesce(&deltas)
-                .unwrap_or_else(|| SkylineDelta::empty(base_version)),
+            delta,
+            stages: timer.stages().to_vec(),
         };
         Ok((ids, mutation))
     }
 
-    /// Post-mutation upkeep under the write lock: rebuild the read
-    /// snapshot, compact the log if it outgrew its threshold, and wake
-    /// every long-poll feed subscriber.
-    fn after_mutation(&self, inner: &mut Inner) -> Result<(), RegistryError> {
-        inner.snapshot = build_snapshot(&inner.stream)?;
+    /// Post-mutation upkeep under the write lock, in O(1) apart from a
+    /// compaction: empty the read snapshot slot (the next reader that
+    /// needs rows refills it), compact the log if it outgrew its
+    /// threshold, and wake every long-poll feed subscriber. Marks the
+    /// `compact` and `notify` stages on `timer`.
+    fn after_mutation(&self, inner: &mut Inner, timer: &mut StageTimer) {
+        inner.snapshot = OnceLock::new();
         if let Some(wal) = inner.wal.as_mut() {
             // A failed compaction is not a durability failure: the log
             // still holds the full history, so just carry on.
             let _ = wal.maybe_compact(&inner.stream);
         }
+        timer.mark("compact");
         let (lock, cvar) = &self.feed_signal;
         *lock.lock().unwrap_or_else(|e| e.into_inner()) = inner.stream.version();
         cvar.notify_all();
-        Ok(())
+        timer.mark("notify");
     }
 
     /// Serve a change-feed cursor read: up to `limit` records strictly
@@ -428,7 +485,7 @@ impl DatasetEntry {
             }
         }
         inner.changes.append(record.clone());
-        self.after_mutation(&mut inner)?;
+        self.after_mutation(&mut inner, &mut StageTimer::start());
         Ok(ReplicaApply::Applied)
     }
 
@@ -562,8 +619,7 @@ impl Registry {
                 Some(recovered.wal),
                 recovered.records,
                 feed_retain,
-            )
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
+            );
             map.insert(name, Arc::new(entry));
         }
         Ok(Registry {
@@ -654,9 +710,11 @@ impl Registry {
             .as_ref()
             .map(|config| DatasetWal::create(config, name));
         let wal = wal.transpose().map_err(io_failure)?;
-        let entry = DatasetEntry::new(name, stream, wal, Vec::new(), self.feed_retain)?;
+        let entry = DatasetEntry::new(name, stream, wal, Vec::new(), self.feed_retain);
         let head = Some(wal::create_record(dims));
-        entry.commit(&mut write_lock(&entry.inner), head, inserts(rows))?;
+        let (mut inner, timer) = entry.lock_for_write();
+        entry.commit(&mut inner, timer, head, inserts(rows))?;
+        drop(inner);
         let entry = Arc::new(entry);
         let mut map = self.datasets.write().unwrap_or_else(|e| e.into_inner());
         map.insert(name.to_string(), Arc::clone(&entry));
@@ -679,7 +737,7 @@ impl Registry {
             None,
             Vec::new(),
             self.feed_retain,
-        )?);
+        ));
         let mut map = self.datasets.write().unwrap_or_else(|e| e.into_inner());
         map.insert(name.to_string(), Arc::clone(&entry));
         Ok(entry)
@@ -771,6 +829,71 @@ mod tests {
         entry.insert_rows(&rows(&[[0.0, 0.0]])).unwrap();
         assert_eq!(before.handles, vec![0], "old snapshot unchanged");
         assert_eq!(entry.snapshot().handles, vec![0, 1]);
+    }
+
+    #[test]
+    fn snapshot_fill_equals_the_rows_copied_twice() {
+        let mut stream = StreamingSkyline::new(3).unwrap();
+        let mut metrics = Metrics::new();
+        let rows = [
+            [1.0, 2.0, 3.0],
+            [-0.0, f64::INFINITY, 1.0],
+            [1.0, 2.0, 3.0],
+            [f64::NEG_INFINITY, 0.0, -0.0],
+            [4.0, -1.5, 2.0],
+            [1.0, 2.0, 3.0],
+            [0.5, -0.0, f64::INFINITY],
+        ];
+        for row in &rows {
+            stream.insert(row, &mut metrics).unwrap();
+        }
+        for id in [0, 4] {
+            assert!(stream.remove(id, &mut metrics), "tombstone {id}");
+        }
+
+        let fill = build_snapshot(&stream);
+        let (handles, live) = stream.snapshot_rows();
+        let want = Dataset::from_rows(&live).unwrap();
+        assert_eq!(fill.handles, handles);
+        assert_eq!(fill.handles, vec![1, 2, 3, 5, 6]);
+        assert_eq!(fill.version, stream.version());
+        let got = fill.dataset.as_ref().expect("live rows");
+        assert_eq!(got.dims(), want.dims());
+        let bits = |d: &Dataset| d.as_flat().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(&want), "same values, -0.0 normalised alike");
+    }
+
+    #[test]
+    fn writes_empty_the_snapshot_slot_and_reads_fill_it_once() {
+        let reg = Registry::new();
+        let entry = reg
+            .create("lazy", 2, &rows(&[[1.0, 5.0], [5.0, 1.0]]))
+            .unwrap();
+        let (first, filled) = entry.snapshot_filled();
+        assert!(filled, "creation leaves the slot empty");
+        let (again, filled) = entry.snapshot_filled();
+        assert!(!filled, "one fill per version");
+        assert!(Arc::ptr_eq(&first, &again));
+
+        let (_, m) = entry.insert_rows(&rows(&[[0.5, 0.5]])).unwrap();
+        let names: Vec<&str> = m.stages.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["lock", "wal", "apply", "compact", "notify"]);
+        assert_eq!(entry.version(), 3, "the version moves without a fill");
+        let (after, filled) = entry.snapshot_filled();
+        assert!(filled, "the write emptied the slot");
+        assert_eq!(
+            (after.version, after.handles.as_slice()),
+            (3, &[0, 1, 2][..])
+        );
+
+        let (_, m) = entry.remove_ids(&[99]).unwrap();
+        let names: Vec<&str> = m.stages.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            ["lock", "wal", "apply"],
+            "a no-op remove skips the upkeep"
+        );
+        assert!(!entry.snapshot_filled().1, "a no-op remove keeps the slot");
     }
 
     #[test]

@@ -535,6 +535,65 @@ fn creates_in_flight_block_neither_reads_nor_duplicate_checks() {
     );
 }
 
+/// A large insert holds only its own dataset's lock while it fans out:
+/// reads of another dataset keep answering at once for as long as the
+/// insert is in flight.
+#[test]
+fn inserts_in_flight_block_no_reads_of_other_datasets() {
+    let (_shards, coordinator) = start_cluster(2);
+    let coord = coordinator.local_addr();
+    create_dataset(
+        coord,
+        "small",
+        &[vec![1.0, 5.0], vec![5.0, 1.0], vec![6.0, 6.0]],
+    );
+    let rows: Vec<Vec<f64>> = skyline_data::SyntheticSpec {
+        distribution: skyline_data::Distribution::Independent,
+        cardinality: 30_000,
+        dims: 8,
+        seed: 0xB16,
+    }
+    .generate()
+    .iter()
+    .map(|(_, row)| row.to_vec())
+    .collect();
+    create_dataset(coord, "big", &rows[..1]);
+    let body = format!("{{\"rows\":{}}}", rows_json(&rows[1..]));
+    let started = Instant::now();
+    let insert = std::thread::spawn(move || {
+        let resp = http_client::post(coord, "/datasets/big/points", &body).expect("insert");
+        (resp.status, started.elapsed())
+    });
+    // Read back to back until the insert ends, noting how long each read
+    // took and whether the insert was still in flight when it answered.
+    let mut reads = Vec::new();
+    while !insert.is_finished() {
+        let read_started = Instant::now();
+        let (ids, partial, _) = query_skyline(coord, "small");
+        assert_eq!((ids, partial), (vec![0, 1], false));
+        reads.push((read_started.elapsed(), !insert.is_finished()));
+    }
+    let (status, took) = insert.join().expect("insert thread");
+    assert_eq!(status, 200);
+    let in_flight = reads.iter().filter(|(_, in_flight)| *in_flight).count();
+    assert!(
+        in_flight >= 3,
+        "{in_flight} reads answered during the insert"
+    );
+    let slowest = reads.iter().map(|(read, _)| *read).max().expect("reads");
+    assert!(
+        slowest * 10 < took,
+        "a read during an insert took {slowest:?} of the insert's {took:?}"
+    );
+    let listed = http_client::get(coord, "/datasets")
+        .expect("listing")
+        .body_str();
+    assert!(
+        listed.contains(r#""name":"big","dims":8,"points":30000"#),
+        "{listed}"
+    );
+}
+
 /// Metric counter from the coordinator's `/metrics` JSON.
 fn coord_metric(coord: SocketAddr, field: &str) -> u64 {
     let resp = http_client::get(coord, "/metrics").unwrap();

@@ -602,3 +602,105 @@ fn skyline_extras_are_opt_in_and_exact() {
         assert_eq!(resp.status, 400);
     }
 }
+
+/// Writes never build the read snapshot, and a version builds it at
+/// most once: a cached or patched read answers from the version alone,
+/// and only a miss or a read with extras takes rows. Each write's
+/// reply explains where its time went.
+#[test]
+fn writes_never_build_snapshots_and_a_version_builds_one_at_most_once() {
+    let spec = skyline_data::SyntheticSpec {
+        distribution: skyline_data::Distribution::AntiCorrelated,
+        cardinality: 220,
+        dims: 4,
+        seed: 0x1A2E,
+    };
+    let rows: Vec<Vec<f64>> = spec
+        .generate()
+        .iter()
+        .map(|(_, row)| row.to_vec())
+        .collect();
+    let server = start_server();
+    let addr = server.local_addr();
+    let created = client::post(
+        addr,
+        "/datasets",
+        &format!(
+            "{{\"name\": \"lazy\", \"rows\": {}}}",
+            rows_json(&rows[..200])
+        ),
+    )
+    .unwrap();
+    assert_eq!(created.status, 201, "{}", created.body_str());
+
+    // Inserts only, so handles are row indices and version v holds
+    // exactly the first v rows.
+    let mut reads = 0;
+    let mut read = |query: &str, want_cached: bool| {
+        reads += 1;
+        let resp = client::get(addr, &format!("/skyline?dataset=lazy&{query}")).unwrap();
+        assert_eq!(resp.status, 200, "{query}: {}", resp.body_str());
+        let body = resp.body_str();
+        let (version, cached, ids) = parse_skyline_response(&body);
+        assert_eq!(cached, want_cached, "{query} at version {version}");
+        let data = Dataset::from_rows(&rows[..version as usize]).unwrap();
+        assert_eq!(ids, oracle_skyline(&data), "{query} at version {version}");
+        (version, ids, body)
+    };
+
+    read("algo=SDI-Subset", false);
+    for row in &rows[200..] {
+        let body = format!("{{\"rows\": {}}}", rows_json(std::slice::from_ref(row)));
+        let resp = client::post(addr, "/datasets/lazy/points", &body).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body_str());
+        let stage_times = resp
+            .header(skyline_obs::trace::STAGE_TIMES_HEADER)
+            .expect("a write reply carries its stage times");
+        let stages = skyline_obs::trace::decode_stage_times(stage_times);
+        let names: Vec<&str> = stages.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            ["lock", "wal", "apply", "compact", "notify", "patch"]
+        );
+        read("algo=SDI-Subset", true);
+    }
+    let (version, _, _) = read("algo=SFS", false);
+    assert_eq!(version, rows.len() as u64);
+    read("algo=SaLSa-Subset", false);
+    let (_, ids, body) = read("algo=SDI-Subset&include_rows=1", true);
+    let v = Value::parse(&body).unwrap();
+    let got_rows = v.get("rows").and_then(Value::as_arr).expect("rows");
+    assert_eq!(got_rows.len(), ids.len());
+    for (row, &id) in got_rows.iter().zip(&ids) {
+        let row: Vec<f64> = row
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|x| x.as_f64().unwrap())
+            .collect();
+        assert_eq!(row, rows[id as usize], "row of point {id}");
+    }
+
+    let metrics = client::get(addr, "/metrics").unwrap();
+    let v = Value::parse(&metrics.body_str()).unwrap();
+    let count = |stage: &str| {
+        v.get("stages")
+            .and_then(|s| s.get(stage))
+            .and_then(|s| s.get("count"))
+            .and_then(Value::as_u64)
+    };
+    assert_eq!(
+        count("snapshot"),
+        Some(2),
+        "one build for the first read, one for the first miss after the writes: {}",
+        metrics.body_str()
+    );
+    assert_eq!(count("lock"), Some(20), "one write stage per write");
+    assert_eq!(
+        count("parse"),
+        Some(reads),
+        "writes leave the read stages alone"
+    );
+    let stats = server.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (21, 3), "{stats:?}");
+}
