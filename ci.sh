@@ -134,11 +134,6 @@ if [[ "$quick" != "quick" ]]; then
     grep -q '"type":"delta_applied"' "$tmp/serve.jsonl"
     report_whole "$tmp/serve.jsonl"
 
-    echo "==> serve bench artefact (quick)"
-    ./target/release/repro bench-json --serve --requests 3 \
-        --out "$tmp/BENCH_SERVE.json" 2>/dev/null
-    grep -q '"req_per_sec"' "$tmp/BENCH_SERVE.json"
-
     echo "==> cluster smoke: 2 shards + coordinator, scatter-gather, shard loss"
     ./target/release/skyline serve --port 0 --threads 2 \
         --trace "$tmp/shard0.jsonl" > "$tmp/shard0.out" &
@@ -204,11 +199,6 @@ if [[ "$quick" != "quick" ]]; then
     ./target/release/skyline report "$tmp/cluster.jsonl" --stages \
         > "$tmp/cluster-stages.report"
     grep -q 'dominant stage' "$tmp/cluster-stages.report"
-
-    echo "==> cluster bench artefact (quick)"
-    ./target/release/repro bench-json --cluster --requests 2 \
-        --out "$tmp/BENCH_CLUSTER.json" 2>/dev/null
-    grep -q '"shards":4' "$tmp/BENCH_CLUSTER.json"
 
     echo "==> chaos smoke: kill -9 mid-flight, reboot from the WAL, same answer"
     ./target/release/skyline serve --port 0 --threads 2 \

@@ -5,10 +5,11 @@
 //! repro <exp-id>... [--full] [--runs N]
 //! repro all [--full]         # everything, in paper order
 //! repro bench-json [--out BENCH_PR2.json] [--runs N] [--threads T]
-//! repro bench-json --serve [--out BENCH_PR3.json] [--requests N] [--threads T]
-//! repro bench-json --cluster [--out BENCH_PR6.json] [--requests N] [--threads T]
 //! repro bench-json --replicated [--out BENCH_PR8.json] [--requests N] [--threads T]
 //! ```
+//!
+//! Each mode accepts exactly the flags on its usage line; any other
+//! flag exits 1 with the usage text.
 //!
 //! `bench-json` measures the evaluation suite plus the parallel engines
 //! on the fixed reference workload and writes a machine-readable
@@ -16,20 +17,6 @@
 //! size). `--threads` sets the worker count of the `P-*` rows; the
 //! default is one per CPU, minimum two so the partition-merge path is
 //! exercised.
-//!
-//! `bench-json --serve` benchmarks the HTTP query service instead:
-//! request throughput and p50/p99 latency, cold (cache invalidated by a
-//! streaming insert before every query) versus cached (identical query
-//! repeated). `--requests N` sets the cold sample count (cached takes
-//! 4×N); `--threads` sizes the server's worker pool.
-//!
-//! `bench-json --cluster` benchmarks the sharded coordinator: the same
-//! workload against a plain single-node server and against clusters of
-//! 1, 2, and 4 in-process shards, cold (full scatter-gather recompute)
-//! versus warm (shard caches hit, coordinator still merges). Warm
-//! queries run with `timings=1`, so each topology records per-stage
-//! p50/p99 and the dominant stage. `--requests N` sets the cold sample
-//! count (warm takes 2×N).
 //!
 //! `bench-json --replicated` benchmarks change-feed replication: a
 //! follower (`--follow`) tails the primary while it absorbs streaming
@@ -42,68 +29,70 @@
 //! cardinalities (hours of compute for the AC sweeps). Results print to
 //! stdout; progress goes to stderr.
 
+use std::path::Path;
 use std::process::ExitCode;
 
 use skyline_bench::artifact::{reference_workload, write_bench_artifact};
-use skyline_bench::cluster_bench::write_cluster_bench_artifact;
 use skyline_bench::experiments::{experiment_index, run_experiment};
 use skyline_bench::harness::Scale;
-use skyline_bench::serve_bench::{write_replication_bench_artifact, write_serve_bench_artifact};
+use skyline_bench::replication_bench::write_replication_bench_artifact;
 
-fn bench_json(args: &[String]) -> ExitCode {
-    let serve = args.iter().any(|a| a == "--serve");
-    let cluster = args.iter().any(|a| a == "--cluster");
+/// The usage line of each mode; a mode accepts exactly its line's flags.
+const EXPERIMENTS: &str = "repro <exp-id>...|all|list [--full] [--runs N]";
+const BENCH: &str = "repro bench-json [--out BENCH_PR2.json] [--runs N] [--threads T]";
+const REPLICATED: &str =
+    "repro bench-json --replicated [--out BENCH_PR8.json] [--requests N] [--threads T]";
+
+/// Refuse any flag of `args` that is not on the usage `line`. A flag
+/// followed there by a placeholder takes the next argument as its value.
+fn check_flags(args: &[String], line: &str) -> Result<(), String> {
+    let words: Vec<&str> = line
+        .split_whitespace()
+        .map(|w| w.trim_matches(['[', ']']))
+        .collect();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with('-') {
+            continue;
+        }
+        let Some(at) = words.iter().position(|w| w == arg) else {
+            return Err(format!(
+                "unknown flag {arg:?}\nusage: {EXPERIMENTS}\n       {BENCH}\n       {REPLICATED}"
+            ));
+        };
+        if words.get(at + 1).is_some_and(|w| !w.starts_with('-')) {
+            rest.next(); // the flag's value, whatever it looks like
+        }
+    }
+    Ok(())
+}
+
+/// The positive integer after `flag`, or `default` when it is absent.
+fn positive(args: &[String], flag: &str, default: usize) -> Result<usize, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(default),
+        Some(i) => args
+            .get(i + 1)
+            .and_then(|v| v.parse().ok())
+            .filter(|&n| n >= 1)
+            .ok_or_else(|| format!("{flag} expects a positive integer")),
+    }
+}
+
+fn bench_json(args: &[String]) -> Result<(), String> {
     let replicated = args.iter().any(|a| a == "--replicated");
     let out = match args.iter().position(|a| a == "--out") {
-        None if replicated => "BENCH_PR8.json".to_string(),
-        None if cluster => "BENCH_PR6.json".to_string(),
-        None if serve => "BENCH_PR3.json".to_string(),
-        None => "BENCH_PR2.json".to_string(),
-        Some(i) => match args.get(i + 1) {
-            Some(p) => p.clone(),
-            None => {
-                eprintln!("error: --out expects a path");
-                return ExitCode::FAILURE;
-            }
-        },
+        None if replicated => "BENCH_PR8.json",
+        None => "BENCH_PR2.json",
+        Some(i) => args.get(i + 1).ok_or("--out expects a path")?,
     };
-    let runs = match args.iter().position(|a| a == "--runs") {
-        None => 3,
-        Some(i) => match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            Some(r) if r >= 1 => r,
-            _ => {
-                eprintln!("error: --runs expects a positive integer");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let threads = match args.iter().position(|a| a == "--threads") {
-        None => 0, // auto: one per CPU, minimum two
-        Some(i) => match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            Some(t) if t >= 1 => t,
-            _ => {
-                eprintln!("error: --threads expects a positive integer");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let label = std::path::Path::new(&out)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("BENCH")
-        .to_string();
+    // 0 = auto: one per CPU, minimum two.
+    let threads = positive(args, "--threads", 0)?;
+    let path = Path::new(out);
+    let label = path.file_stem().and_then(|s| s.to_str()).unwrap_or("BENCH");
     let spec = reference_workload();
-    if replicated {
-        let mutations = match args.iter().position(|a| a == "--requests") {
-            None => 60,
-            Some(i) => match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                Some(r) if r >= 1 => r,
-                _ => {
-                    eprintln!("error: --requests expects a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-        };
+    let written = if replicated {
+        let mutations = positive(args, "--requests", 60)?;
         eprintln!(
             "==> bench-json --replicated: {} n={} d={} seed={} ({mutations} lag samples / {} follower reads) -> {out}",
             spec.distribution.tag(),
@@ -112,132 +101,29 @@ fn bench_json(args: &[String]) -> ExitCode {
             spec.seed,
             mutations * 4
         );
-        return match write_replication_bench_artifact(
-            std::path::Path::new(&out),
-            &label,
-            &spec,
-            mutations,
-            mutations * 4,
-            threads,
-        ) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {out}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if cluster {
-        let cold = match args.iter().position(|a| a == "--requests") {
-            None => 20,
-            Some(i) => match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                Some(r) if r >= 1 => r,
-                _ => {
-                    eprintln!("error: --requests expects a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-        };
+        write_replication_bench_artifact(path, label, &spec, mutations, mutations * 4, threads)
+    } else {
+        let runs = positive(args, "--runs", 3)?;
         eprintln!(
-            "==> bench-json --cluster: {} n={} d={} seed={} ({cold} cold / {} warm per topology) -> {out}",
+            "==> bench-json: {} n={} d={} seed={} ({runs} runs) -> {out}",
             spec.distribution.tag(),
             spec.cardinality,
             spec.dims,
-            spec.seed,
-            cold * 2
+            spec.seed
         );
-        return match write_cluster_bench_artifact(
-            std::path::Path::new(&out),
-            &label,
-            &spec,
-            cold,
-            cold * 2,
-            threads,
-        ) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {out}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if serve {
-        let cold = match args.iter().position(|a| a == "--requests") {
-            None => 60,
-            Some(i) => match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                Some(r) if r >= 1 => r,
-                _ => {
-                    eprintln!("error: --requests expects a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-        };
-        eprintln!(
-            "==> bench-json --serve: {} n={} d={} seed={} ({cold} cold / {} cached) -> {out}",
-            spec.distribution.tag(),
-            spec.cardinality,
-            spec.dims,
-            spec.seed,
-            cold * 4
-        );
-        return match write_serve_bench_artifact(
-            std::path::Path::new(&out),
-            &label,
-            &spec,
-            cold,
-            cold * 4,
-            threads,
-        ) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {out}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    eprintln!(
-        "==> bench-json: {} n={} d={} seed={} ({runs} runs) -> {out}",
-        spec.distribution.tag(),
-        spec.cardinality,
-        spec.dims,
-        spec.seed
-    );
-    match write_bench_artifact(std::path::Path::new(&out), &label, &spec, runs, threads) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {out}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+        write_bench_artifact(path, label, &spec, runs, threads)
+    };
+    written.map_err(|e| format!("{out}: {e}"))
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("bench-json") {
-        return bench_json(&args[1..]);
-    }
+fn experiments(args: &[String]) -> Result<(), String> {
     let full = args.iter().any(|a| a == "--full");
-    let runs = match args.iter().position(|a| a == "--runs") {
-        None => {
-            if full {
-                10
-            } else {
-                1
-            }
-        }
-        Some(i) => match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            Some(r) if r >= 1 => r,
-            _ => {
-                eprintln!("error: --runs expects a positive integer");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
+    let runs = positive(args, "--runs", if full { 10 } else { 1 })?;
     let scale = Scale { full, runs };
 
     let mut ids: Vec<String> = Vec::new();
     let mut skip_next = false;
-    for a in &args {
+    for a in args {
         if skip_next {
             skip_next = false;
             continue;
@@ -259,12 +145,9 @@ fn main() -> ExitCode {
             "  bench-json [--out BENCH_PR2.json] [--runs N] [--threads T]  machine-readable suite timings"
         );
         println!(
-            "  bench-json --serve [--out BENCH_PR3.json] [--requests N]    HTTP service throughput/latency"
+            "  bench-json --replicated [--out BENCH_PR8.json] [--requests N] [--threads T]  replication lag, follower reads, failover"
         );
-        println!(
-            "  bench-json --cluster [--out BENCH_PR6.json] [--requests N]  sharded coordinator vs single node"
-        );
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
     if ids.len() == 1 && ids[0] == "all" {
@@ -290,17 +173,31 @@ fn main() -> ExitCode {
             if runs == 1 { "" } else { "s" }
         );
         let start = std::time::Instant::now();
-        match run_experiment(id, scale) {
-            Ok(output) => {
-                println!("{output}");
-                eprintln!("    done in {:.1}s", start.elapsed().as_secs_f64());
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!("run `repro list` for the experiment index");
-                return ExitCode::FAILURE;
-            }
+        let output = run_experiment(id, scale)
+            .map_err(|e| format!("{e}\nrun `repro list` for the experiment index"))?;
+        println!("{output}");
+        eprintln!("    done in {:.1}s", start.elapsed().as_secs_f64());
+    }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let result = if args.first().map(String::as_str) == Some("bench-json") {
+        let line = if args.iter().any(|a| a == "--replicated") {
+            REPLICATED
+        } else {
+            BENCH
+        };
+        check_flags(&args, line).and_then(|()| bench_json(&args[1..]))
+    } else {
+        check_flags(&args, EXPERIMENTS).and_then(|()| experiments(&args))
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }

@@ -12,7 +12,6 @@
 #![forbid(unsafe_code)]
 
 pub mod artifact;
-pub mod cluster_bench;
 pub mod experiments;
 pub mod harness;
-pub mod serve_bench;
+pub mod replication_bench;

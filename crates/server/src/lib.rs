@@ -34,6 +34,17 @@
 //! - [`client`] — a minimal blocking client (with optional retry) for
 //!   tests and benchmarks.
 //!
+//! The routes, one private module each, dispatched from this file:
+//!
+//! - `query` — `GET /skyline`: the read-your-writes gate, the cache
+//!   probe, the engine run on a miss and the opt-in extras;
+//! - `mutation` — `POST /datasets` and `POST|DELETE
+//!   /datasets/{name}/points`, each patching the cache forward;
+//! - `feed` — the change feed and the snapshot a follower resyncs from;
+//! - `failover` — the fencing check, `POST /promote`, `POST /demote`,
+//!   and a follower's write redirect and lag header;
+//! - `admin` — `GET /healthz`, `GET /datasets` and `GET /metrics`.
+//!
 //! Robustness: `/skyline` honours a cooperative `deadline_ms` (504 on
 //! expiry), an admission gate sheds excess load with 503 +
 //! `Retry-After` (global `max_inflight` and a connection-queue limit),
@@ -57,13 +68,18 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod admin;
 pub mod api;
 pub mod cache;
 pub mod client;
+mod failover;
 pub mod faults;
+mod feed;
 pub mod http;
 pub mod metrics;
+mod mutation;
 pub mod pool;
+mod query;
 pub mod registry;
 pub mod replica;
 pub mod service;
@@ -73,26 +89,20 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use skyline_algos::skyband::k_skyband_ids;
-use skyline_algos::{algorithm_by_name, parallel_algorithm, SkylineAlgorithm};
-use skyline_core::cancel::CancelToken;
-use skyline_core::dataset::Dataset;
-use skyline_core::metrics::Metrics;
-use skyline_core::point::PointId;
-use skyline_core::subspace::Subspace;
-use skyline_obs::json::{self, ObjectWriter, Value};
-use skyline_obs::trace::{self, StageTimer};
 use skyline_obs::Event;
 
-use api::{parse_body, NewDataset, SkylineHead, SkylineQuery};
-use cache::{CacheKey, CachedResult, ResultCache};
+use admin::{handle_healthz, handle_list, handle_metrics};
+use cache::ResultCache;
+use failover::{fence_check, handle_demote, handle_promote, replica_redirect};
+use feed::{handle_changes, handle_snapshot};
 use http::{Request, Response};
-use metrics::Extra;
+use mutation::{handle_create, handle_insert, handle_remove};
+use query::handle_skyline;
 use registry::{Registry, RegistryError};
 use replica::Role;
-use service::{inherited_trace, FrontConfig, FrontEnd, Service};
+use service::{FrontConfig, FrontEnd, Service};
 
 /// Request header carrying the fencing epoch the sender believes is
 /// current. A mismatch against the receiving node's own epoch is
@@ -110,6 +120,10 @@ pub const PRIMARY_HEADER: &str = "X-Skyline-Primary";
 /// primary with 307; a primary that has never seen the version answers
 /// 409.
 pub const MIN_VERSION_HEADER: &str = "X-Skyline-Min-Version";
+
+/// Connection backlog (queued, not yet picked up by a worker) before
+/// the accept loop sheds with 503.
+const QUEUE_LIMIT: usize = 1024;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -133,9 +147,6 @@ pub struct ServerConfig {
     /// Concurrently executing `/skyline` queries before the admission
     /// gate sheds with 503. `0` = unlimited.
     pub max_inflight: usize,
-    /// Connection backlog (queued, not yet picked up by a worker) before
-    /// the accept loop sheds with 503. `0` = unlimited.
-    pub queue_limit: usize,
     /// Slow-query threshold, milliseconds: a `/skyline` request whose
     /// wall-clock reaches it gets its full stage breakdown written as a
     /// JSONL `stage_breakdown` record. `0` disables the slow-query log.
@@ -170,7 +181,6 @@ impl Default for ServerConfig {
             data_dir: None,
             fsync: wal::FsyncPolicy::default(),
             max_inflight: 0,
-            queue_limit: 1024,
             slow_ms: 0,
             slow_log: None,
             feed_retain: registry::DEFAULT_FEED_RETAIN,
@@ -289,7 +299,7 @@ impl Server {
             threads: config.threads,
             request_timeout: config.request_timeout,
             max_body: config.max_body,
-            queue_limit: config.queue_limit,
+            queue_limit: QUEUE_LIMIT,
             trace: config.trace.clone(),
             slow_ms: config.slow_ms,
             slow_log: config.slow_log.clone(),
@@ -436,960 +446,12 @@ fn registry_response(err: RegistryError) -> Response {
     Response::error(status, &err.to_string())
 }
 
-/// `GET /healthz` — one JSON shape on both roles: liveness plus the
-/// node's `role`, fencing `epoch`, and latest applied versions. The
-/// cluster's failure detector reads this to pick the most-caught-up
-/// replica at promotion time, so `applied_version` (the per-dataset
-/// versions summed) must reflect everything the node has applied.
-fn handle_healthz(shared: &Shared) -> Response {
-    let infos = shared.registry.list();
-    let applied: u64 = infos.iter().map(|i| i.version).sum();
-    let mut versions = ObjectWriter::new();
-    for info in &infos {
-        versions.u64_field(&info.name, info.version);
-    }
-    let mut w = ObjectWriter::new();
-    w.str_field("status", "ok");
-    match shared.failover.role() {
-        Role::Primary => {
-            w.str_field("role", "primary");
-        }
-        Role::Follower { primary } => {
-            w.str_field("role", "replica")
-                .str_field("primary", &primary.to_string());
-        }
-    }
-    w.u64_field("epoch", shared.failover.epoch())
-        .u64_field("datasets", infos.len() as u64)
-        .u64_field("applied_version", applied)
-        .raw_field("versions", &versions.finish())
-        .u64_field(
-            "uptime_us",
-            shared.front.started.elapsed().as_micros() as u64,
-        );
-    Response::json(200, w.finish())
-}
-
-/// Enforce the fencing epoch on a request that stamped one
-/// ([`EPOCH_HEADER`]). `None` = no epoch claimed or it matches ours
-/// (handle normally); `Some` = the caller must return this refusal.
-///
-/// A *higher* request epoch means a succession happened that this node
-/// missed — the canonical case is a resurrected old primary receiving
-/// traffic stamped by the new regime. When the request also names the
-/// new primary ([`PRIMARY_HEADER`]), the node demotes itself into a
-/// follower of it on the spot; the refused request is retried by its
-/// sender, and by then this node redirects like any other replica.
-fn fence_check(shared: &Shared, req: &Request, endpoint: &str) -> Option<Response> {
-    let raw = req.header(EPOCH_HEADER)?;
-    let Ok(request_epoch) = raw.parse::<u64>() else {
-        return Some(Response::error(
-            400,
-            &format!("bad {EPOCH_HEADER} value {raw:?}"),
-        ));
-    };
-    let node_epoch = shared.failover.epoch();
-    if request_epoch == node_epoch {
-        return None;
-    }
-    shared.failover.fenced_total.fetch_add(1, Ordering::Relaxed);
-    shared.front.emit(Event::FencedRequest {
-        endpoint: endpoint.to_string(),
-        request_epoch,
-        node_epoch,
-    });
-    let mut successor: Option<SocketAddr> = None;
-    if request_epoch > node_epoch {
-        if let Some(primary) = req
-            .header(PRIMARY_HEADER)
-            .and_then(|p| p.parse::<SocketAddr>().ok())
-            .filter(|p| *p != shared.front.addr)
-        {
-            if shared.failover.demote(request_epoch, primary).is_ok() {
-                // Followers are memory-only so this is a no-op there; a
-                // durable node that fails the write re-learns the epoch
-                // from the next fenced request.
-                let _ = shared.registry.persist_epoch(request_epoch);
-                shared.front.emit(Event::Demotion {
-                    epoch: request_epoch,
-                    primary: primary.to_string(),
-                });
-                successor = Some(primary);
-            }
-        }
-    }
-    let mut w = ObjectWriter::new();
-    w.str_field("error", "fenced: request epoch does not match this node")
-        .u64_field("epoch", shared.failover.epoch())
-        .u64_field("request_epoch", request_epoch);
-    if let Some(primary) = successor {
-        w.str_field("primary", &primary.to_string());
-    }
-    Some(Response::json(409, w.finish()))
-}
-
-/// `POST /promote` — body `{"epoch": E}`: flip this node to primary
-/// under fencing epoch `E`. `E` must be strictly above the node's own
-/// epoch (a retry of an accepted promotion is an idempotent 200);
-/// anything else is refused with 409 and the node's epoch. On success
-/// the epoch is made durable before the response acks, tailer threads
-/// wind down via the generation bump, and the node starts accepting
-/// writes at its inherited version.
-fn handle_promote(shared: &Shared, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let Some(epoch) = body.get("epoch").and_then(Value::as_u64) else {
-        return Response::error(400, "body needs numeric \"epoch\"");
-    };
-    match shared.failover.promote(epoch) {
-        Err(current) => {
-            let mut w = ObjectWriter::new();
-            w.str_field("error", "promotion fenced: epoch must rise")
-                .u64_field("epoch", current)
-                .u64_field("request_epoch", epoch);
-            Response::json(409, w.finish())
-        }
-        Ok(()) => {
-            if let Err(e) = shared.registry.persist_epoch(epoch) {
-                return Response::error(500, &format!("promoted but epoch not durable: {e}"));
-            }
-            let infos = shared.registry.list();
-            let applied: u64 = infos.iter().map(|i| i.version).sum();
-            shared.front.emit(Event::Promotion {
-                epoch,
-                datasets: infos.len() as u64,
-                version: applied,
-            });
-            let mut w = ObjectWriter::new();
-            w.str_field("role", "primary")
-                .u64_field("epoch", epoch)
-                .u64_field("applied_version", applied);
-            Response::json(200, w.finish())
-        }
-    }
-}
-
-/// `POST /demote` — body `{"epoch": E, "primary": "host:port"}`: step
-/// down into a follower of `primary` under epoch `E` (at or above the
-/// node's own; equal allows a retarget). The node's datasets resync
-/// from the new primary on the follower path.
-fn handle_demote(shared: &Shared, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let Some(epoch) = body.get("epoch").and_then(Value::as_u64) else {
-        return Response::error(400, "body needs numeric \"epoch\"");
-    };
-    let Some(primary) = body
-        .get("primary")
-        .and_then(Value::as_str)
-        .and_then(|s| s.parse::<SocketAddr>().ok())
-    else {
-        return Response::error(400, "body needs \"primary\" as host:port");
-    };
-    if primary == shared.front.addr {
-        return Response::error(400, "refusing to demote into following myself");
-    }
-    match shared.failover.demote(epoch, primary) {
-        Err(current) => {
-            let mut w = ObjectWriter::new();
-            w.str_field("error", "demotion fenced: epoch must not regress")
-                .u64_field("epoch", current)
-                .u64_field("request_epoch", epoch);
-            Response::json(409, w.finish())
-        }
-        Ok(()) => {
-            let _ = shared.registry.persist_epoch(epoch);
-            shared.front.emit(Event::Demotion {
-                epoch,
-                primary: primary.to_string(),
-            });
-            let mut w = ObjectWriter::new();
-            w.str_field("role", "replica")
-                .u64_field("epoch", epoch)
-                .str_field("primary", &primary.to_string());
-            Response::json(200, w.finish())
-        }
-    }
-}
-
-fn dataset_info_json(info: &registry::DatasetInfo) -> String {
-    let mut w = ObjectWriter::new();
-    w.str_field("name", &info.name)
-        .u64_field("dims", info.dims as u64)
-        .u64_field("points", info.points as u64)
-        .u64_field("skyline", info.skyline_len as u64)
-        .u64_field("version", info.version);
-    w.finish()
-}
-
-fn handle_list(shared: &Shared) -> Response {
-    let objs: Vec<String> = shared
-        .registry
-        .list()
-        .iter()
-        .map(dataset_info_json)
-        .collect();
-    let mut w = ObjectWriter::new();
-    w.raw_field("datasets", &format!("[{}]", objs.join(",")));
-    Response::json(200, w.finish())
-}
-
-/// On a follower, writes answer 307 with a `Location` pointing the
-/// client at the primary; `None` on a primary (handle normally).
-fn replica_redirect(shared: &Shared, path: &str) -> Option<Response> {
-    let primary = shared.failover.follow_target()?;
-    let mut w = ObjectWriter::new();
-    w.str_field("error", "read-only replica: writes go to the primary")
-        .str_field("primary", &primary.to_string());
-    Some(
-        Response::json(307, w.finish()).with_header("Location", &format!("http://{primary}{path}")),
-    )
-}
-
-/// On a follower, stamp a read response with how many versions the
-/// queried dataset trails the primary by (see [`replica::LAG_HEADER`]).
-fn with_replica_lag(shared: &Shared, dataset: &str, resp: Response) -> Response {
-    match shared.failover.role() {
-        Role::Follower { .. } => resp.with_header(
-            replica::LAG_HEADER,
-            &shared.failover.lag_of(dataset).to_string(),
-        ),
-        Role::Primary => resp,
-    }
-}
-
-/// Feed long-poll ceiling, ms — below the 30 s request timeout so a
-/// subscriber's held request always answers before the socket dies.
-const MAX_WAIT_MS: u64 = 25_000;
-
-/// `GET /datasets/{name}/changes?since=&limit=&ops=&subscribe=&wait_ms=`
-/// — the change feed. Returns records strictly after `since` plus a
-/// `next` cursor; `subscribe=1` long-polls until a change lands or the
-/// hold expires into an explicit heartbeat (empty batch, unchanged
-/// cursor); a cursor behind the retention horizon answers 410 Gone
-/// with `oldest_version` so the consumer knows to resync.
-fn handle_changes(shared: &Shared, name: &str, req: &Request) -> Result<Response, Response> {
-    let entry = shared.registry.get(name).map_err(registry_response)?;
-    let since = api::query_u64(req, "since", 0)?.unwrap_or(0);
-    let limit = api::query_u64(req, "limit", 1)?.unwrap_or(512) as usize;
-    let with_ops = api::query_flag(req, "ops")?;
-    let subscribe = api::query_flag(req, "subscribe")?;
-    let default_wait_ms = if subscribe { 10_000 } else { 0 };
-    let wait_ms = api::query_u64(req, "wait_ms", 0)?.unwrap_or(default_wait_ms);
-    // Long-poll: park on the dataset's feed condvar until a version
-    // beyond the cursor exists. Waits are sliced so shutdown never
-    // blocks behind a subscriber's full hold.
-    let deadline = Instant::now() + Duration::from_millis(wait_ms.min(MAX_WAIT_MS));
-    loop {
-        let now = Instant::now();
-        if now >= deadline || shared.front.is_shutting_down() {
-            break;
-        }
-        let slice = (deadline - now).min(Duration::from_millis(250));
-        if entry.wait_for_version(since, slice) > since {
-            break;
-        }
-    }
-    Ok(match entry.changes_since(since, limit) {
-        Err(gone) => {
-            shared.front.emit(Event::FeedPoll {
-                dataset: name.to_string(),
-                since,
-                returned: 0,
-                next: since,
-                latest: entry.info().version,
-                heartbeat: false,
-            });
-            let mut w = ObjectWriter::new();
-            w.str_field(
-                "error",
-                &format!(
-                    "cursor {since} predates the retained change feed; \
-                     resync from /datasets/{name}/snapshot"
-                ),
-            )
-            .u64_field("oldest_version", gone.oldest);
-            Response::json(410, w.finish())
-        }
-        Ok(batch) => {
-            let heartbeat = batch.records.is_empty();
-            shared.front.emit(Event::FeedPoll {
-                dataset: name.to_string(),
-                since,
-                returned: batch.records.len() as u64,
-                next: batch.next,
-                latest: batch.latest,
-                heartbeat,
-            });
-            let records: Vec<String> = batch
-                .records
-                .iter()
-                .map(|r| replica::record_json(r, with_ops))
-                .collect();
-            let mut w = ObjectWriter::new();
-            w.str_field("dataset", name)
-                .u64_field("since", since)
-                .u64_field("next", batch.next)
-                .u64_field("latest", batch.latest)
-                .u64_field("oldest", batch.oldest)
-                .bool_field("heartbeat", heartbeat)
-                .raw_field("records", &format!("[{}]", records.join(",")));
-            Response::json(200, w.finish())
-        }
-    })
-}
-
-/// `GET /datasets/{name}/snapshot` — the dataset's full state in the
-/// `.snap` wire format; what a follower resyncs from.
-fn handle_snapshot(shared: &Shared, name: &str) -> Response {
-    match shared.registry.get(name) {
-        Ok(entry) => Response::json(200, entry.snapshot_doc()),
-        Err(e) => registry_response(e),
-    }
-}
-
-/// The `/metrics` cache hit-rate: hits over lookups, 0.0 before any.
-fn cache_hit_rate(stats: &cache::CacheStats) -> f64 {
-    let lookups = stats.hits + stats.misses;
-    if lookups == 0 {
-        0.0
-    } else {
-        stats.hits as f64 / lookups as f64
-    }
-}
-
-fn handle_metrics(shared: &Shared, req: &Request) -> Response {
-    let stats = shared.cache.stats();
-    shared.front.metrics_response(
-        req,
-        || metrics_json(shared, &stats),
-        || prometheus_extras(shared, &stats),
-    )
-}
-
-/// The series `/metrics?format=prometheus` adds to the front end's own.
-fn prometheus_extras(shared: &Shared, stats: &cache::CacheStats) -> Vec<Extra> {
-    let state = &shared.failover;
-    let mut extras = vec![
-        Extra::counter("skyline_cache_hits_total", stats.hits),
-        Extra::counter("skyline_cache_misses_total", stats.misses),
-        Extra::counter("skyline_cache_evictions_total", stats.evictions),
-        Extra::counter("skyline_cache_invalidations_total", stats.invalidations),
-        Extra::counter("skyline_cache_patched_total", stats.patched),
-        Extra::gauge("skyline_cache_entries", stats.entries as f64),
-        Extra::gauge("skyline_cache_hit_rate", cache_hit_rate(stats)),
-        Extra::gauge("skyline_datasets", shared.registry.len() as f64),
-        Extra::gauge("skyline_epoch", state.epoch() as f64),
-        Extra::counter(
-            "skyline_promotions_total",
-            state.promotions_total.load(Ordering::Relaxed),
-        ),
-        Extra::counter(
-            "skyline_demotions_total",
-            state.demotions_total.load(Ordering::Relaxed),
-        ),
-        Extra::counter(
-            "skyline_fenced_requests_total",
-            state.fenced_total.load(Ordering::Relaxed),
-        ),
-        Extra::counter(
-            "skyline_replica_applied_total",
-            state.applied_total.load(Ordering::Relaxed),
-        ),
-        Extra::counter(
-            "skyline_replica_duplicates_total",
-            state.duplicates_total.load(Ordering::Relaxed),
-        ),
-        Extra::counter(
-            "skyline_replica_resyncs_total",
-            state.resyncs_total.load(Ordering::Relaxed),
-        ),
-    ];
-    // One family at a time: the renderer writes a TYPE line per
-    // consecutive run of the same metric family.
-    let progress = state.progress_snapshot();
-    for (dataset, applied, latest) in &progress {
-        extras.push(Extra::gauge(
-            format!("skyline_replica_lag_versions{{dataset=\"{dataset}\"}}"),
-            latest.saturating_sub(*applied) as f64,
-        ));
-    }
-    for (dataset, applied, _) in &progress {
-        extras.push(Extra::gauge(
-            format!("skyline_replica_applied_version{{dataset=\"{dataset}\"}}"),
-            *applied as f64,
-        ));
-    }
-    extras
-}
-
-/// The `/metrics` JSON document.
-fn metrics_json(shared: &Shared, stats: &cache::CacheStats) -> String {
-    let metrics = &shared.front.metrics;
-    let mut cache_obj = ObjectWriter::new();
-    cache_obj
-        .u64_field("hits", stats.hits)
-        .u64_field("misses", stats.misses)
-        .u64_field("evictions", stats.evictions)
-        .u64_field("invalidations", stats.invalidations)
-        .u64_field("patched", stats.patched)
-        .u64_field("entries", stats.entries)
-        .u64_field("capacity", shared.cache.capacity() as u64)
-        .f64_field("hit_rate", cache_hit_rate(stats));
-    let datasets: Vec<String> = shared
-        .registry
-        .list()
-        .iter()
-        .map(dataset_info_json)
-        .collect();
-    let mut w = ObjectWriter::new();
-    w.u64_field(
-        "uptime_us",
-        shared.front.started.elapsed().as_micros() as u64,
-    )
-    .u64_field("threads", shared.front.threads as u64)
-    .u64_field("requests", metrics.total_requests())
-    .u64_field("shed_total", metrics.shed_total())
-    .u64_field("deadline_exceeded_total", metrics.deadline_exceeded_total())
-    .u64_field("panics_total", metrics.panics_total())
-    .u64_field("wal_bytes", shared.registry.wal_bytes())
-    .u64_field(
-        "recovery_replayed_records",
-        shared.registry.recovery_replayed(),
-    )
-    .raw_field("endpoints", &metrics.render_json())
-    .raw_field("stages", &metrics.render_stages_json())
-    .raw_field("cache", &cache_obj.finish())
-    .raw_field("datasets", &format!("[{}]", datasets.join(",")));
-    let state = &shared.failover;
-    let lag = state.lag.snapshot();
-    let progress: Vec<String> = state
-        .progress_snapshot()
-        .iter()
-        .map(|(name, applied, latest)| {
-            let mut p = ObjectWriter::new();
-            p.str_field("name", name)
-                .u64_field("applied", *applied)
-                .u64_field("primary_latest", *latest)
-                .u64_field("lag", latest.saturating_sub(*applied));
-            p.finish()
-        })
-        .collect();
-    let mut r = ObjectWriter::new();
-    match state.role() {
-        Role::Primary => {
-            r.str_field("role", "primary");
-        }
-        Role::Follower { primary } => {
-            r.str_field("role", "replica")
-                .str_field("primary", &primary.to_string());
-        }
-    }
-    r.u64_field("epoch", state.epoch())
-        .u64_field(
-            "promotions_total",
-            state.promotions_total.load(Ordering::Relaxed),
-        )
-        .u64_field(
-            "demotions_total",
-            state.demotions_total.load(Ordering::Relaxed),
-        )
-        .u64_field("fenced_total", state.fenced_total.load(Ordering::Relaxed))
-        .u64_field("applied_total", state.applied_total.load(Ordering::Relaxed))
-        .u64_field(
-            "duplicates_total",
-            state.duplicates_total.load(Ordering::Relaxed),
-        )
-        .u64_field("resyncs_total", state.resyncs_total.load(Ordering::Relaxed))
-        .u64_field("lag_p50", lag.p50())
-        .u64_field("lag_p99", lag.p99())
-        .raw_field("datasets", &format!("[{}]", progress.join(",")));
-    w.raw_field("replication", &r.finish());
-    w.finish()
-}
-
-/// `POST /datasets` — body: `{"name": ..., "rows": [[...], ...]}` or
-/// `{"name": ..., "synthetic": {"distribution": "AC", "n": 1000,
-/// "dims": 6, "seed": 42}}`; an empty dataset needs explicit `"dims"`.
-fn handle_create(shared: &Shared, req: &Request) -> Response {
-    let new = match NewDataset::parse(req, shared.front.max_body) {
-        Ok(new) => new,
-        Err(refusal) => return refusal,
-    };
-    match shared.registry.create(&new.name, new.dims, &new.rows) {
-        Ok(entry) => Response::json(201, dataset_info_json(&entry.info())),
-        Err(e) => registry_response(e),
-    }
-}
-
-/// Carry the result cache across a mutation, trace the delta, and
-/// account for the write.
-///
-/// Patches forward every full-space skyline entry sitting at the
-/// mutation's base version, drops the rest, bumps the `cache_patched`
-/// counter, and emits one `delta_applied` trace event — the observable
-/// spine of the incremental-maintenance path. The registry's stages
-/// plus this one, `patch`, go into the `/metrics` stage histograms and
-/// come back encoded for the reply's stage-times header.
-fn apply_mutation(
-    shared: &Shared,
-    name: &str,
-    dims: usize,
-    mutation: &registry::Mutation,
-    trace_id: &str,
-) -> (cache::PatchOutcome, String) {
-    let started = Instant::now();
-    // An unchanged version (empty batch / no live removals) leaves every
-    // cached entry exact, with no delta to trace.
-    let out = if mutation.version == mutation.base_version {
-        cache::PatchOutcome::default()
-    } else {
-        let out = shared.cache.patch_dataset(
-            name,
-            Subspace::full(dims).bits(),
-            mutation.base_version,
-            &mutation.delta,
-        );
-        shared.front.emit(Event::DeltaApplied {
-            dataset: name.to_string(),
-            base_version: mutation.base_version,
-            version: mutation.version,
-            entered: mutation.delta.entered.len() as u64,
-            left: mutation.delta.left.len() as u64,
-            cache_patched: out.patched as u64,
-            cache_invalidated: out.invalidated as u64,
-            trace: trace_id.to_string(),
-        });
-        out
-    };
-    let mut stages = mutation.stages.clone();
-    stages.push(("patch".to_string(), started.elapsed().as_micros() as u64));
-    shared.front.metrics.record_stages(&stages);
-    (out, trace::encode_stage_times(&stages))
-}
-
-/// Shared tail of the mutation responses: version movement, skyline
-/// cardinality, the delta's membership changes, and what happened to
-/// the cache — plus the fencing epoch the write was accepted under.
-/// `(epoch, version)` is the read-your-writes session token: stamp a
-/// later read with [`MIN_VERSION_HEADER`]` = version` and it will never
-/// observe an older state, on any node.
-fn mutation_json_fields(
-    w: &mut ObjectWriter,
-    mutation: &registry::Mutation,
-    out: &cache::PatchOutcome,
-    epoch: u64,
-) {
-    let entered: Vec<u64> = mutation.delta.entered.iter().map(|&i| i as u64).collect();
-    let left: Vec<u64> = mutation.delta.left.iter().map(|&i| i as u64).collect();
-    w.u64_field("version", mutation.version)
-        .u64_field("epoch", epoch)
-        .u64_field("skyline", mutation.skyline_len as u64)
-        .u64_array_field("entered", &entered)
-        .u64_array_field("left", &left)
-        .u64_field("cache_patched", out.patched as u64)
-        .u64_field("cache_invalidated", out.invalidated as u64);
-}
-
-/// `POST /datasets/{name}/points` — body `{"rows": [[...], ...]}`.
-fn handle_insert(shared: &Shared, name: &str, req: &Request) -> Result<Response, Response> {
-    let trace_id = inherited_trace(req);
-    let entry = shared.registry.get(name).map_err(registry_response)?;
-    let rows = api::insert_rows(req)?;
-    let (ids, mutation) = entry.insert_rows(&rows).map_err(registry_response)?;
-    let (out, stage_times) = apply_mutation(shared, name, entry.dims(), &mutation, &trace_id);
-    let ids64: Vec<u64> = ids.iter().map(|&i| i as u64).collect();
-    let mut w = ObjectWriter::new();
-    w.u64_field("inserted", ids.len() as u64)
-        .u64_array_field("ids", &ids64);
-    mutation_json_fields(&mut w, &mutation, &out, shared.failover.epoch());
-    Ok(Response::json(200, w.finish()).with_header(trace::STAGE_TIMES_HEADER, &stage_times))
-}
-
-/// `DELETE /datasets/{name}/points` — body `{"ids": [...]}`.
-fn handle_remove(shared: &Shared, name: &str, req: &Request) -> Result<Response, Response> {
-    let trace_id = inherited_trace(req);
-    let entry = shared.registry.get(name).map_err(registry_response)?;
-    let ids: Vec<PointId> = api::remove_ids(req, PointId::MAX as u64)?
-        .into_iter()
-        .map(|id| id as PointId)
-        .collect();
-    let (removed, mutation) = entry.remove_ids(&ids).map_err(registry_response)?;
-    let (out, stage_times) = apply_mutation(shared, name, entry.dims(), &mutation, &trace_id);
-    let mut w = ObjectWriter::new();
-    w.u64_field("removed", removed as u64);
-    mutation_json_fields(&mut w, &mutation, &out, shared.failover.epoch());
-    Ok(Response::json(200, w.finish()).with_header(trace::STAGE_TIMES_HEADER, &stage_times))
-}
-
-/// Optional `/skyline` response payload behind `include_masks=1` /
-/// `include_rows=1` — what the cluster coordinator consumes: each
-/// point's maximum dominating subspace w.r.t. this shard's own elite
-/// reference set, which elites those were (as positions into `ids`),
-/// and the raw coordinates for cross-shard dominance tests.
-struct SkylineExtras {
-    /// Per-point subspace masks (bit `i` = dimension `i`), or `None`
-    /// when only rows were requested.
-    masks: Option<(Vec<u64>, Vec<u64>)>,
-    /// `[[f64, ...], ...]` JSON, or `None` when only masks were
-    /// requested. [`json::rows_json`] keeps every coordinate, ±∞
-    /// included, exact across the wire.
-    rows_json: Option<String>,
-}
-
-/// A node's `/skyline` answer: the shared head, then the opt-in extras.
-fn skyline_json(
-    key: &CacheKey,
-    cached: bool,
-    ids: &[PointId],
-    elapsed_us: u64,
-    extras: Option<&SkylineExtras>,
-    timings: Option<&[(String, u64)]>,
-) -> String {
-    let ids: Vec<u64> = ids.iter().map(|&i| i as u64).collect();
-    let head = SkylineHead {
-        dataset: &key.dataset,
-        algorithm: &key.algorithm,
-        version: key.version,
-        mask_bits: key.mask_bits,
-        k: key.k,
-        cached,
-        elapsed_us,
-        ids: &ids,
-    };
-    let extras_fields = |w: &mut ObjectWriter| {
-        let Some(extras) = extras else { return };
-        if let Some((masks, elites)) = &extras.masks {
-            w.u64_array_field("masks", masks)
-                .u64_array_field("elites", elites);
-        }
-        if let Some(rows) = &extras.rows_json {
-            w.raw_field("rows", rows);
-        }
-    };
-    head.answer(extras_fields, timings)
-}
-
-/// Compute the opt-in extras for skyline `row_ids` (row indices into
-/// `target`, which is already projected when the query named `dims`).
-fn compute_extras(
-    target: Option<&Dataset>,
-    row_ids: &[PointId],
-    include_masks: bool,
-    include_rows: bool,
-) -> SkylineExtras {
-    let masks = include_masks.then(|| match target {
-        None => (Vec::new(), Vec::new()),
-        Some(data) => {
-            let elite_ids = skyline_core::shard_merge::select_reference_elites(data, row_ids);
-            let masks = skyline_core::shard_merge::reference_masks(data, row_ids, &elite_ids)
-                .into_iter()
-                .map(|s| s.bits())
-                .collect();
-            // Elites as positions into the response arrays, so the
-            // caller never has to reverse any id mapping.
-            let positions = elite_ids
-                .iter()
-                .map(|e| {
-                    row_ids
-                        .iter()
-                        .position(|x| x == e)
-                        .expect("elite ∈ skyline") as u64
-                })
-                .collect();
-            (masks, positions)
-        }
-    });
-    let rows_json = include_rows.then(|| {
-        json::rows_json(
-            row_ids
-                .iter()
-                .map(|&id| target.map_or(&[][..], |data| data.point(id))),
-        )
-    });
-    SkylineExtras { masks, rows_json }
-}
-
-/// How long a read stamped with a session token waits for replication
-/// to catch up before bouncing to the primary.
-const MIN_VERSION_WAIT: Duration = Duration::from_millis(500);
-
-/// Honour a read-your-writes session token ([`MIN_VERSION_HEADER`]):
-/// the read must observe `name` at the token's version or newer.
-/// `None` = satisfied (proceed with the read). A follower that cannot
-/// catch up within [`MIN_VERSION_WAIT`] bounces the client to its
-/// primary with 307; a primary that has never reached the version
-/// answers 409 — the token came from a history this node does not have,
-/// which after a failover means the client must surface the lost write
-/// rather than silently read around it.
-fn min_version_gate(
-    shared: &Shared,
-    entry: &registry::DatasetEntry,
-    name: &str,
-    req: &Request,
-) -> Option<Response> {
-    let raw = req.header(MIN_VERSION_HEADER)?;
-    let Ok(min_version) = raw.parse::<u64>() else {
-        return Some(Response::error(
-            400,
-            &format!("bad {MIN_VERSION_HEADER} value {raw:?}"),
-        ));
-    };
-    if min_version == 0 {
-        return None;
-    }
-    let deadline = Instant::now() + MIN_VERSION_WAIT;
-    loop {
-        if entry.wait_for_version(min_version - 1, Duration::from_millis(50)) >= min_version {
-            return None;
-        }
-        if Instant::now() >= deadline || shared.front.is_shutting_down() {
-            break;
-        }
-    }
-    match shared.failover.follow_target() {
-        Some(primary) => {
-            // Rebuild the request target so the client can replay the
-            // exact read against the primary.
-            let query: Vec<String> = req.query.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            let target = if query.is_empty() {
-                req.path.clone()
-            } else {
-                format!("{}?{}", req.path, query.join("&"))
-            };
-            let mut w = ObjectWriter::new();
-            w.str_field(
-                "error",
-                "replica is behind the session token; read from the primary",
-            )
-            .u64_field("min_version", min_version)
-            .str_field("primary", &primary.to_string());
-            Some(
-                Response::json(307, w.finish())
-                    .with_header("Location", &format!("http://{primary}{target}")),
-            )
-        }
-        None => Some(Response::error(
-            409,
-            &format!(
-                "session token demands version {min_version} of {name:?}, \
-                 which this primary has never applied"
-            ),
-        )),
-    }
-}
-
-/// `entry`'s snapshot of its current version, marking a `snapshot`
-/// stage on `timer` when this read built it.
-fn take_snapshot(
-    entry: &registry::DatasetEntry,
-    timer: &mut StageTimer,
-) -> Arc<registry::Snapshot> {
-    let (snapshot, filled) = entry.snapshot_filled();
-    if filled {
-        timer.mark("snapshot");
-    }
-    snapshot
-}
-
-/// `GET /skyline?dataset=&algo=&dims=&k=&threads=&deadline_ms=`.
-fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response, Response> {
-    let mut timer = StageTimer::start();
-    let trace_id = inherited_trace(req);
-    let name = api::dataset_param(req)?;
-    // Global admission gate: beyond `max_inflight` concurrent queries,
-    // shed immediately rather than queueing work the server cannot keep
-    // up with.
-    let _inflight = acquire_inflight(shared).map_err(|()| {
-        shared
-            .front
-            .shed("/skyline", "server overloaded: too many queries in flight")
-    })?;
-    let entry = shared.registry.get(name).map_err(registry_response)?;
-    if let Some(resp) = min_version_gate(shared, &entry, name, req) {
-        return Err(resp);
-    }
-    let query = SkylineQuery::parse(req)?;
-    let SkylineQuery {
-        k,
-        threads,
-        include_masks,
-        include_rows,
-        ..
-    } = query;
-    if include_masks && k > 1 {
-        return Err(Response::error(
-            400,
-            "include_masks=1 requires k=1: dominating-subspace masks are only defined for the skyline",
-        ));
-    }
-    let algo_name = query.algo.unwrap_or("SDI-Subset");
-    let wants_parallel = threads > 0 || algo_name.starts_with("P-") || algo_name.starts_with("p-");
-    let algo: Box<dyn SkylineAlgorithm> = if wants_parallel {
-        parallel_algorithm(algo_name, None, threads as usize).ok_or_else(|| {
-            Response::error(
-                400,
-                &format!("no parallel engine for algorithm {algo_name:?}"),
-            )
-        })?
-    } else {
-        algorithm_by_name(algo_name)
-            .ok_or_else(|| Response::error(400, &format!("unknown algorithm {algo_name:?}")))?
-    };
-    let full = Subspace::full(entry.dims());
-    let mask = query.mask(entry.dims())?;
-
-    timer.mark("parse");
-    // One cache probe, keyed by the version of the rows the answer
-    // needs. A read with extras maps its answer onto rows, so it takes
-    // the snapshot first and probes at the snapshot's version. Any other
-    // read probes at the current version and takes the snapshot only on
-    // a miss, answering at the version of the rows it computed on.
-    let wants_extras = include_masks || include_rows;
-    let snapshot = wants_extras.then(|| take_snapshot(&entry, &mut timer));
-    let mut key = CacheKey {
-        dataset: name.to_string(),
-        version: snapshot
-            .as_ref()
-            .map_or_else(|| entry.version(), |s| s.version),
-        algorithm: algo.name().to_string(),
-        mask_bits: mask.bits(),
-        k,
-        threads,
-    };
-    let start = Instant::now();
-    if let Some(hit) = shared.cache.get(&key) {
-        shared.front.emit(Event::CacheHit {
-            dataset: name.to_string(),
-            algorithm: algo.name().to_string(),
-            version: key.version,
-            trace: trace_id.clone(),
-        });
-        // Extras are derived data, not cached: map the cached handles
-        // back to row indices (the handle list is ascending) and
-        // recompute. The key was probed at the snapshot's version, so
-        // the snapshot describes exactly the cached result.
-        let extras = snapshot.as_ref().map(|snapshot| {
-            let projected: Option<Dataset> = match &snapshot.dataset {
-                Some(data) if mask != full => Some(data.project_dims(mask)),
-                _ => None,
-            };
-            let target: Option<&Dataset> = projected.as_ref().or(snapshot.dataset.as_ref());
-            let row_ids: Vec<PointId> = hit
-                .ids
-                .iter()
-                .map(|h| {
-                    snapshot
-                        .handles
-                        .binary_search(h)
-                        .expect("cached handle present at its own version")
-                        as PointId
-                })
-                .collect();
-            compute_extras(target, &row_ids, include_masks, include_rows)
-        });
-        timer.mark("cache");
-        let elapsed_us = start.elapsed().as_micros() as u64;
-        let body = skyline_json(
-            &key,
-            true,
-            &hit.ids,
-            elapsed_us,
-            extras.as_ref(),
-            query.timings.then(|| timer.stages()),
-        );
-        let resp = with_replica_lag(shared, name, Response::json(200, body));
-        return Ok(shared
-            .front
-            .finish_skyline(timer, &trace_id, String::new(), resp));
-    }
-    timer.mark("cache");
-    let snapshot = snapshot.unwrap_or_else(|| take_snapshot(&entry, &mut timer));
-    key.version = snapshot.version;
-
-    // The deadline starts at compute time: parsing and cache probing are
-    // bounded, the algorithm run is not.
-    let token = match query.deadline_ms {
-        Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
-        None => CancelToken::none(),
-    };
-    let deadline_response = || {
-        shared
-            .front
-            .deadline_exceeded(name, algo.name(), query.deadline_ms.unwrap_or(0))
-    };
-    let mut extras: Option<SkylineExtras> = None;
-    let ids: Vec<PointId> = match &snapshot.dataset {
-        None => {
-            if wants_extras {
-                extras = Some(compute_extras(None, &[], include_masks, include_rows));
-            }
-            Vec::new()
-        }
-        Some(data) => {
-            faults::check_delay("compute");
-            let mut metrics = Metrics::new();
-            let projected;
-            let target: &Dataset = if mask == full {
-                data
-            } else {
-                projected = data.project_dims(mask);
-                &projected
-            };
-            let mut rows = if k > 1 {
-                // The skyband path has no in-loop cancellation; honour
-                // the deadline with an up-front check.
-                if token.check().is_err() {
-                    return Err(deadline_response());
-                }
-                let mut band = k_skyband_ids(target, k as usize, &mut metrics);
-                band.sort_unstable();
-                band
-            } else {
-                algo.compute_cancellable(target, &mut metrics, &token)
-                    .map_err(|_| deadline_response())?
-            };
-            timer.mark("compute");
-            if wants_extras {
-                extras = Some(compute_extras(
-                    Some(target),
-                    &rows,
-                    include_masks,
-                    include_rows,
-                ));
-            }
-            // Row indices → stable stream handles. The handle list is
-            // ascending, so ascending row ids stay ascending.
-            for id in rows.iter_mut() {
-                *id = snapshot.handles[*id as usize];
-            }
-            rows
-        }
-    };
-    timer.mark("extras");
-    let elapsed_us = start.elapsed().as_micros() as u64;
-    let body = skyline_json(
-        &key,
-        false,
-        &ids,
-        elapsed_us,
-        extras.as_ref(),
-        query.timings.then(|| timer.stages()),
-    );
-    shared.cache.insert(key, CachedResult { ids, elapsed_us });
-    let resp = with_replica_lag(shared, name, Response::json(200, body));
-    Ok(shared
-        .front
-        .finish_skyline(timer, &trace_id, String::new(), resp))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skyline_obs::json::Value;
+    use skyline_obs::trace;
+    use std::time::Instant;
 
     fn start_test_server() -> ServerHandle {
         Server::start(ServerConfig {
