@@ -283,6 +283,8 @@ if [[ "$quick" != "quick" ]]; then
     curl -sf -X POST "http://$paddr/datasets/rep/points" \
         -d '{"rows": [[0.001, 0.001, 0.001, 0.001]]}' | grep -q '"inserted":1'
     converge                 # this mutation had to travel the change feed
+    # The follower patched its cached answer by the record's delta.
+    curl -sf "http://$faddr/metrics" | grep -q '"patched":[1-9]'
     curl -sfD "$tmp/replica-hdrs" "http://$faddr/skyline?dataset=rep" >/dev/null
     grep -qi '^x-skyline-replica-lag: ' "$tmp/replica-hdrs"
     curl -sf "http://$faddr/healthz" | grep -q '"role":"replica"'

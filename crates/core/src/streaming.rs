@@ -146,9 +146,7 @@ impl StreamingSkyline {
 
     /// Ids of every live point (skyline and shadowed), ascending.
     pub fn live_ids(&self) -> Vec<PointId> {
-        (0..self.state.len() as PointId)
-            .filter(|&id| !matches!(self.state[id as usize], EntryState::Deleted))
-            .collect()
+        self.live_rows().map(|(id, _)| id).collect()
     }
 
     /// Materialise the live multiset as `(handles, rows)`: `rows[i]` is
@@ -156,12 +154,7 @@ impl StreamingSkyline {
     /// ascending. Row indices of any batch computation over the rows map
     /// back to stable stream handles through `handles`.
     pub fn snapshot_rows(&self) -> (Vec<PointId>, Vec<Vec<f64>>) {
-        let ids = self.live_ids();
-        let rows = ids
-            .iter()
-            .map(|&id| self.rows[id as usize].clone())
-            .collect();
-        (ids, rows)
+        self.live_rows().map(|(id, row)| (id, row.to_vec())).unzip()
     }
 
     /// Tombstone-aware export of every slot, in handle order: `None` for
@@ -251,6 +244,40 @@ impl StreamingSkyline {
             Some(EntryState::Shadowed { killer }) => Some(*killer),
             _ => None,
         }
+    }
+
+    /// Every live point with its row, in handle order.
+    pub fn live_rows(&self) -> impl Iterator<Item = (PointId, &[f64])> + '_ {
+        self.state
+            .iter()
+            .zip(&self.rows)
+            .enumerate()
+            .filter(|(_, (state, _))| !matches!(state, EntryState::Deleted))
+            .map(|(id, (_, row))| (id as PointId, row.as_slice()))
+    }
+
+    /// The live rows that some subspace skyline can contain, in handle
+    /// order: every skyline point, and every shadowed point whose
+    /// [witness](StreamingSkyline::witness) is not strictly better than
+    /// it in every dimension.
+    ///
+    /// A point left out is beaten strictly everywhere by its live
+    /// witness, so it is in no subspace skyline. Following witnesses
+    /// from it reaches a kept point that still beats it strictly
+    /// everywhere, so whatever it dominates in a subspace, that point
+    /// dominates there too. A skyline (k = 1) over any subspace is thus
+    /// the same over these rows as over all live rows. A k-skyband
+    /// (k > 1) is not: a point beaten strictly everywhere still counts
+    /// toward it.
+    pub fn subspace_candidates(&self) -> impl Iterator<Item = (PointId, &[f64])> + '_ {
+        let full = Subspace::full(self.dims);
+        self.live_rows()
+            .filter(move |&(id, row)| match self.state[id as usize] {
+                EntryState::Shadowed { killer } => {
+                    dominating_subspace(&self.rows[killer as usize], row) != full
+                }
+                _ => true,
+            })
     }
 
     /// Insert a point; returns its handle.
@@ -757,6 +784,31 @@ mod tests {
         let (handles, rows) = s.snapshot_rows();
         assert_eq!(handles, vec![a, c]);
         assert_eq!(rows, vec![vec![1.0, 5.0], vec![3.0, 3.0]]);
+    }
+
+    #[test]
+    fn subspace_candidates_keep_every_point_a_tie_can_surface() {
+        let mut s = StreamingSkyline::new(2).unwrap();
+        let mut metrics = m();
+        let a = s.insert(&[1.0, 1.0], &mut metrics).unwrap();
+        let b = s.insert(&[1.0, 2.0], &mut metrics).unwrap(); // ties a on dim 0
+        let c = s.insert(&[2.0, 3.0], &mut metrics).unwrap(); // beaten everywhere
+        let d = s.insert(&[5.0, 0.5], &mut metrics).unwrap();
+        assert_eq!(s.witness(b), Some(a));
+        assert_eq!(s.witness(c), Some(a));
+        let kept: Vec<PointId> = s.subspace_candidates().map(|(id, _)| id).collect();
+        assert_eq!(kept, vec![a, b, d], "b is in the dim-0 skyline, c in none");
+        let live: Vec<PointId> = s.live_rows().map(|(id, _)| id).collect();
+        assert_eq!(live, s.live_ids());
+        // Removing a promotes b and c; c is now witnessed by b, which ties
+        // it nowhere, so c drops out again.
+        assert!(s.remove(a, &mut metrics));
+        assert_eq!(s.skyline(), vec![b, d]);
+        let kept: Vec<(PointId, Vec<f64>)> = s
+            .subspace_candidates()
+            .map(|(id, row)| (id, row.to_vec()))
+            .collect();
+        assert_eq!(kept, vec![(b, vec![1.0, 2.0]), (d, vec![5.0, 0.5])]);
     }
 
     #[test]

@@ -2,18 +2,25 @@
 //!
 //! Results are keyed by everything that determines the answer bytes:
 //! dataset name **and content version**, canonical algorithm name,
-//! subspace mask, k-skyband depth, and worker count. Because the version
-//! is part of the key, a stale entry can never be served.
+//! subspace mask, k-skyband depth, and worker count. Within one dataset
+//! entry the version names the contents, so a mutation can make an entry
+//! unreachable but never wrong.
 //!
-//! On a streaming mutation the serving layer calls
+//! On every mutation the serving layer calls
 //! [`ResultCache::patch_dataset`] with the mutation's
-//! [`SkylineDelta`]: full-space plain-skyline entries sitting exactly at
-//! the mutation's base version are **patched forward** — their id list
-//! is updated by the delta's sorted merge and the entry is re-keyed to
-//! the new version — so the next warm query hits without a recompute.
-//! Entries the delta cannot describe (projected subspaces, k-skybands,
-//! other versions) are dropped, exactly as the older
-//! [`ResultCache::invalidate_dataset`] path would.
+//! [`SkylineDelta`]: a primary after each write, a follower after each
+//! change record it applies. Full-space plain-skyline entries sitting
+//! exactly at the mutation's base version are **patched forward** —
+//! their id list is updated by the delta's sorted merge and the entry is
+//! re-keyed to the new version — so the next warm query hits without a
+//! recompute. Entries the delta cannot describe (projected subspaces,
+//! k-skybands, other versions) are dropped.
+//!
+//! A follower's resync replaces a dataset entry wholesale, and the new
+//! entry can hold other rows at a version the old one was cached at. It
+//! drops the dataset's entries with [`ResultCache::invalidate_dataset`],
+//! and reads insert through [`ResultCache::insert_if`] so that an answer
+//! computed on the replaced entry cannot land after that drop.
 //!
 //! Eviction is least-recently-used over a bounded map. The capacity is
 //! small (hundreds), so the eviction scan is a cheap linear pass rather
@@ -134,10 +141,23 @@ impl ResultCache {
 
     /// Insert a result, evicting the least-recently-used entry when full.
     pub fn insert(&self, key: CacheKey, result: CachedResult) {
+        self.insert_if(key, result, || true);
+    }
+
+    /// As [`ResultCache::insert`], but only if `current()` holds when
+    /// checked under the cache lock. A read passes "the dataset entry I
+    /// computed on is not retired": a resync retires the entry it
+    /// replaces before it calls [`ResultCache::invalidate_dataset`], so
+    /// the answer either lands before that drop and goes with it, or not
+    /// at all.
+    pub fn insert_if(&self, key: CacheKey, result: CachedResult, current: impl FnOnce() -> bool) {
         if self.capacity == 0 {
             return;
         }
         let mut inner = self.inner.lock().expect("cache lock");
+        if !current() {
+            return;
+        }
         inner.tick += 1;
         let tick = inner.tick;
         if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {

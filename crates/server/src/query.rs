@@ -179,13 +179,21 @@ fn min_version_gate(
     }
 }
 
-/// `entry`'s snapshot of its current version, marking a `snapshot`
-/// stage on `timer` when this read built it.
+/// The rows of `entry`'s current version that a depth-`k` read needs,
+/// marking a `snapshot` stage on `timer` when this read built them: the
+/// shared read snapshot for a skyline (k = 1), and every live row, built
+/// per read, for a k-skyband (a point beaten in every dimension still
+/// counts toward one).
 fn take_snapshot(
     entry: &registry::DatasetEntry,
+    k: u64,
     timer: &mut StageTimer,
 ) -> Arc<registry::Snapshot> {
-    let (snapshot, filled) = entry.snapshot_filled();
+    let (snapshot, filled) = if k > 1 {
+        (Arc::new(entry.all_rows()), true)
+    } else {
+        entry.snapshot_filled()
+    };
     if filled {
         timer.mark("snapshot");
     }
@@ -246,7 +254,7 @@ pub(crate) fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response,
     // read probes at the current version and takes the snapshot only on
     // a miss, answering at the version of the rows it computed on.
     let wants_extras = include_masks || include_rows;
-    let snapshot = wants_extras.then(|| take_snapshot(&entry, &mut timer));
+    let snapshot = wants_extras.then(|| take_snapshot(&entry, k, &mut timer));
     let mut key = CacheKey {
         dataset: name.to_string(),
         version: snapshot
@@ -304,7 +312,7 @@ pub(crate) fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response,
             .finish_skyline(timer, &trace_id, String::new(), resp));
     }
     timer.mark("cache");
-    let snapshot = snapshot.unwrap_or_else(|| take_snapshot(&entry, &mut timer));
+    let snapshot = snapshot.unwrap_or_else(|| take_snapshot(&entry, k, &mut timer));
     key.version = snapshot.version;
 
     // The deadline starts at compute time: parsing and cache probing are
@@ -376,7 +384,14 @@ pub(crate) fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response,
         extras.as_ref(),
         query.timings.then(|| timer.stages()),
     );
-    shared.cache.insert(key, CachedResult { ids, elapsed_us });
+    // A resync that replaces `entry` retires it, then drops the
+    // dataset's cached answers, then swaps: this answer must land before
+    // that drop or not at all.
+    shared
+        .cache
+        .insert_if(key, CachedResult { ids, elapsed_us }, || {
+            !entry.is_retired()
+        });
     let resp = with_replica_lag(shared, name, Response::json(200, body));
     Ok(shared
         .front

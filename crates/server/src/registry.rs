@@ -2,14 +2,20 @@
 //!
 //! Each dataset is a [`StreamingSkyline`] (so inserts and deletes update
 //! the skyline incrementally) plus a lazily built immutable *snapshot* —
-//! the live rows materialised as a batch [`Dataset`] with a row-index →
-//! stream-handle map. A mutation only empties the snapshot slot, so a
-//! write never copies the rows. The first reader that needs rows at a
-//! version fills the slot under the read lock, once per version (one
-//! O(live rows) copy); every later reader at that version clones an
-//! `Arc` and computes against a consistent version with no locks held.
-//! A read answered from the result cache needs only
-//! [`DatasetEntry::version`] and never fills the slot.
+//! the rows some subspace skyline can contain
+//! ([`StreamingSkyline::subspace_candidates`]: the skyline and the
+//! shadowed rows whose witness ties them somewhere) materialised as a
+//! batch [`Dataset`] with a row-index → stream-handle map. Every skyline
+//! (k = 1) over any subspace is the same over these rows as over all
+//! live rows. A mutation only empties the snapshot slot, so a write
+//! never copies rows. The first reader that needs rows at a version
+//! fills the slot under the read lock, once per version (one pass over
+//! the slots plus a copy of the kept rows); every later reader at that
+//! version clones an `Arc` and computes against a consistent version
+//! with no locks held. A read answered from the result cache needs only
+//! [`DatasetEntry::version`] and never fills the slot. A k-skyband read
+//! (k > 1) needs every live row and builds them per read with
+//! [`DatasetEntry::all_rows`].
 //!
 //! Every mutation takes one path. A live write (creation, insert,
 //! remove) becomes a batch of [`ChangeOp`]s that each take effect, and
@@ -26,6 +32,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
@@ -72,18 +79,21 @@ impl fmt::Display for RegistryError {
     }
 }
 
-/// An immutable view of one dataset version.
+/// An immutable view of rows of one dataset version: the read snapshot
+/// ([`DatasetEntry::snapshot`]) holds the rows some subspace skyline can
+/// contain, the per-read build [`DatasetEntry::all_rows`] every live
+/// row.
 ///
 /// `dataset.point(i)` is the row of stream handle `handles[i]`; any batch
 /// skyline over `dataset` maps back to stable public ids through
-/// `handles`. `dataset` is `None` when the version is empty.
+/// `handles`. `dataset` is `None` when there are no such rows.
 #[derive(Debug)]
 pub struct Snapshot {
     /// Content version this snapshot materialises.
     pub version: u64,
     /// Row index → stream handle, ascending.
     pub handles: Vec<PointId>,
-    /// The live rows as a batch dataset (`None` when empty).
+    /// The rows as a batch dataset (`None` when there are none).
     pub dataset: Option<Dataset>,
 }
 
@@ -159,6 +169,9 @@ pub struct DatasetEntry {
     /// the dataset lock, with a condvar notified on every mutation so
     /// feed subscribers on an idle dataset block instead of spinning.
     feed_signal: (Mutex<u64>, Condvar),
+    /// Set once a resync is about to replace this entry (see
+    /// [`DatasetEntry::retire`]).
+    retired: AtomicBool,
 }
 
 /// Lock helpers that survive a poisoned lock: a panicking handler must
@@ -172,17 +185,20 @@ fn write_lock(lock: &RwLock<Inner>) -> RwLockWriteGuard<'_, Inner> {
     lock.write().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Materialise the live rows of `stream`, walking its slots once into
-/// the handle list and one flat buffer.
-fn build_snapshot(stream: &StreamingSkyline) -> Snapshot {
+/// Materialise `rows` of `stream` (ascending handles, as
+/// [`StreamingSkyline::subspace_candidates`] and
+/// [`StreamingSkyline::live_rows`] yield them) at its version, walking
+/// them once into the handle list and one flat buffer.
+fn build_snapshot<'a>(
+    stream: &StreamingSkyline,
+    rows: impl Iterator<Item = (PointId, &'a [f64])>,
+) -> Snapshot {
     let dims = stream.dims();
-    let mut handles = Vec::with_capacity(stream.len());
-    let mut values = Vec::with_capacity(stream.len() * dims);
-    for (id, row) in stream.slot_rows().into_iter().enumerate() {
-        if let Some(row) = row {
-            handles.push(id as PointId);
-            values.extend_from_slice(row);
-        }
+    let mut handles = Vec::with_capacity(stream.skyline_len());
+    let mut values = Vec::with_capacity(stream.skyline_len() * dims);
+    for (id, row) in rows {
+        handles.push(id);
+        values.extend_from_slice(row);
     }
     let dataset = (!handles.is_empty()).then(|| {
         Dataset::from_flat(values, dims).expect("stream rows were validated on the way in")
@@ -222,6 +238,7 @@ impl DatasetEntry {
                 wal,
             }),
             feed_signal: (Mutex::new(version), Condvar::new()),
+            retired: AtomicBool::new(false),
         }
     }
 
@@ -235,24 +252,45 @@ impl DatasetEntry {
         self.dims
     }
 
-    /// The snapshot of the current version, built by the first call
+    /// The read snapshot of the current version, built by the first call
     /// at that version (see [`DatasetEntry::snapshot_filled`]).
     pub fn snapshot(&self) -> Arc<Snapshot> {
         self.snapshot_filled().0
     }
 
-    /// The snapshot of the current version, and whether this call built
-    /// it. The build copies every live row once, under the read lock;
-    /// concurrent callers at the same version wait for that one build
-    /// instead of each copying the rows.
+    /// The read snapshot of the current version — the rows some subspace
+    /// skyline can contain — and whether this call built it. The build
+    /// walks the slots once and copies the kept rows, under the read
+    /// lock; concurrent callers at the same version wait for that one
+    /// build instead of each copying the rows.
     pub fn snapshot_filled(&self) -> (Arc<Snapshot>, bool) {
         let inner = read_lock(&self.inner);
         let mut filled = false;
         let snapshot = inner.snapshot.get_or_init(|| {
             filled = true;
-            Arc::new(build_snapshot(&inner.stream))
+            let stream = &inner.stream;
+            Arc::new(build_snapshot(stream, stream.subspace_candidates()))
         });
         (Arc::clone(snapshot), filled)
+    }
+
+    /// Every live row of the current version, built afresh by each call
+    /// under the read lock: what a k-skyband read (k > 1) computes over.
+    pub fn all_rows(&self) -> Snapshot {
+        let inner = read_lock(&self.inner);
+        build_snapshot(&inner.stream, inner.stream.live_rows())
+    }
+
+    /// Mark this entry as about to be replaced by a resync. A read that
+    /// computed on it must then not cache its answer: the new entry can
+    /// reach the same version number with other rows.
+    pub(crate) fn retire(&self) {
+        self.retired.store(true, Ordering::SeqCst);
+    }
+
+    /// Whether [`DatasetEntry::retire`] was called.
+    pub(crate) fn is_retired(&self) -> bool {
+        self.retired.load(Ordering::SeqCst)
     }
 
     /// Current content version: what a cached answer is keyed by.
@@ -797,8 +835,9 @@ mod tests {
         let info = entry.info();
         assert_eq!((info.points, info.skyline_len), (3, 2));
         let snap = entry.snapshot();
-        assert_eq!(snap.handles, vec![0, 1, 2]);
+        assert_eq!(snap.handles, vec![0, 1], "2 is beaten everywhere");
         assert_eq!(snap.version, 3, "one version bump per initial row");
+        assert_eq!(entry.all_rows().handles, vec![0, 1, 2]);
 
         let (ids, m) = entry.insert_rows(&rows(&[[0.5, 0.5]])).unwrap();
         assert_eq!(ids, vec![3]);
@@ -817,8 +856,9 @@ mod tests {
         assert_eq!(m2.delta.entered, vec![0, 1]);
         assert_eq!(m2.delta.left, vec![3]);
         let snap2 = entry.snapshot();
-        assert_eq!(snap2.handles, vec![0, 1, 2]);
+        assert_eq!(snap2.handles, vec![0, 1]);
         assert_eq!(snap2.version, 5);
+        assert_eq!(entry.all_rows().handles, vec![0, 1, 2]);
     }
 
     #[test]
@@ -828,7 +868,8 @@ mod tests {
         let before = entry.snapshot();
         entry.insert_rows(&rows(&[[0.0, 0.0]])).unwrap();
         assert_eq!(before.handles, vec![0], "old snapshot unchanged");
-        assert_eq!(entry.snapshot().handles, vec![0, 1]);
+        assert_eq!(entry.snapshot().handles, vec![1]);
+        assert_eq!(entry.all_rows().handles, vec![0, 1]);
     }
 
     #[test]
@@ -851,7 +892,7 @@ mod tests {
             assert!(stream.remove(id, &mut metrics), "tombstone {id}");
         }
 
-        let fill = build_snapshot(&stream);
+        let fill = build_snapshot(&stream, stream.live_rows());
         let (handles, live) = stream.snapshot_rows();
         let want = Dataset::from_rows(&live).unwrap();
         assert_eq!(fill.handles, handles);
@@ -881,10 +922,8 @@ mod tests {
         assert_eq!(entry.version(), 3, "the version moves without a fill");
         let (after, filled) = entry.snapshot_filled();
         assert!(filled, "the write emptied the slot");
-        assert_eq!(
-            (after.version, after.handles.as_slice()),
-            (3, &[0, 1, 2][..])
-        );
+        assert_eq!((after.version, after.handles.as_slice()), (3, &[2][..]));
+        assert_eq!(entry.all_rows().handles, vec![0, 1, 2]);
 
         let (_, m) = entry.remove_ids(&[99]).unwrap();
         let names: Vec<&str> = m.stages.iter().map(|(n, _)| n.as_str()).collect();

@@ -41,6 +41,7 @@ use std::time::Duration;
 use skyline_core::changelog::{ChangeOp, ChangeRecord};
 use skyline_core::delta::SkylineDelta;
 use skyline_core::streaming::StreamingSkyline;
+use skyline_core::subspace::Subspace;
 use skyline_obs::json::{Field, ObjectWriter, Value};
 use skyline_obs::{AtomicHistogram, Event};
 
@@ -366,7 +367,9 @@ fn tail_dataset(shared: &Arc<Shared>, name: &str, primary: SocketAddr, generatio
 }
 
 /// Apply one parsed batch; returns the follower's version afterwards,
-/// or the divergence reason that forces a resync.
+/// or the divergence reason that forces a resync. Each applied record's
+/// delta patches the cached answers forward, as a write does on a
+/// primary.
 fn apply_batch(
     shared: &Arc<Shared>,
     name: &str,
@@ -378,13 +381,17 @@ fn apply_batch(
         .registry
         .get(name)
         .map_err(|e| format!("dataset vanished locally: {e}"))?;
+    let full_mask = Subspace::full(entry.dims()).bits();
     let mut applied = 0u64;
     let mut version = entry.info().version;
     for record in records {
         match entry.apply_replicated(record) {
             Ok(ReplicaApply::Applied) => {
-                applied += 1;
                 version = record.version();
+                shared
+                    .cache
+                    .patch_dataset(name, full_mask, version - 1, &record.delta);
+                applied += 1;
                 state.applied_total.fetch_add(1, Ordering::Relaxed);
                 state.lag.record(latest.saturating_sub(record.version()));
             }
@@ -407,7 +414,9 @@ fn apply_batch(
 }
 
 /// Discard the local dataset and rebuild it from the primary's
-/// snapshot endpoint. Returns the installed content version.
+/// snapshot endpoint, dropping its cached answers: the new entry can
+/// hold other rows at a version number the old one was cached at.
+/// Returns the installed content version.
 fn resync(
     shared: &Arc<Shared>,
     name: &str,
@@ -427,6 +436,14 @@ fn resync(
     if state.generation() != generation {
         return Err(());
     }
+    // Retire the entry being replaced, drop its cached answers, and only
+    // then swap: a read still computing on the old rows can no longer
+    // cache its answer, and no read of the new entry finds an old answer
+    // keyed by a version number both share.
+    if let Ok(old) = shared.registry.get(name) {
+        old.retire();
+    }
+    shared.cache.invalidate_dataset(name);
     shared
         .registry
         .install_replica(name, stream)

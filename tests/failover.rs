@@ -328,3 +328,44 @@ fn stale_epochs_are_refused_without_side_effects() {
     let (status, v) = demote(addr, 4, addr);
     assert_eq!(status, 400, "{v:?}");
 }
+
+/// A deposed primary resyncs from its successor and must drop what it
+/// cached for the replaced rows: the successor's snapshot can sit at the
+/// very version number an old answer is keyed by.
+#[test]
+fn resync_drops_answers_cached_for_the_replaced_rows() {
+    let p = memory_server();
+    let q = memory_server();
+    let (paddr, qaddr) = (p.local_addr(), q.local_addr());
+    for (addr, rows) in [(paddr, "[[1,5],[5,1]]"), (qaddr, "[[1,1],[2,2]]")] {
+        let body = format!("{{\"name\":\"d\",\"rows\":{rows}}}");
+        let created = client::post(addr, "/datasets", &body).unwrap();
+        assert_eq!(created.status, 201, "{}", created.body_str());
+    }
+    let ids = |v: &Value| -> Vec<u64> {
+        let arr = v.get("ids").and_then(Value::as_arr).expect("ids");
+        arr.iter().map(|x| x.as_u64().unwrap()).collect()
+    };
+    let (_, before) = get_json(paddr, "/skyline?dataset=d");
+    assert_eq!(
+        (u64_field(&before, "version"), ids(&before)),
+        (2, vec![0, 1])
+    );
+
+    let (status, v) = demote(paddr, 1, qaddr);
+    assert_eq!(status, 200, "{v:?}");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while snapshot_body(paddr, "d") != snapshot_body(qaddr, "d") {
+        assert!(Instant::now() < deadline, "P never resynced from Q");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    for query in ["/skyline?dataset=d", "/skyline?dataset=d&algo=SFS"] {
+        let (status, after) = get_json(paddr, query);
+        assert_eq!(status, 200, "{after:?}");
+        assert_eq!(
+            (u64_field(&after, "version"), ids(&after)),
+            (2, vec![0]),
+            "{query}: Q's rows at the same version"
+        );
+    }
+}

@@ -421,3 +421,73 @@ fn follower_byte_matches_primary_at_every_acknowledged_version() {
     let location = refused.header("location").expect("Location header");
     assert_eq!(location, format!("http://{paddr}/datasets/diff/points"));
 }
+
+/// `body` without its `elapsed_us` field: the rest of a `/skyline`
+/// answer is deterministic.
+fn without_elapsed(body: &str) -> String {
+    let start = body.find("\"elapsed_us\":").expect("elapsed_us field");
+    let end = start + body[start..].find(',').expect("a field follows");
+    format!("{}{}", &body[..start], &body[end + 1..])
+}
+
+/// A follower carries its cached answers across a replicated write by
+/// the record's delta, as the primary does for the write itself: the
+/// next follower read is a hit with the primary's answer.
+#[test]
+fn follower_patches_its_cache_with_each_replicated_delta() {
+    let primary = memory_server(4096);
+    let paddr = primary.local_addr();
+    let rows: Vec<Vec<f64>> = (0..40)
+        .map(|i| {
+            let x = f64::from((i * 13) % 40) + 1.0;
+            vec![x, 41.0 - x, f64::from((i * 7) % 11) + 1.0]
+        })
+        .collect();
+    let created = client::post(
+        paddr,
+        "/datasets",
+        &format!("{{\"name\":\"pc\",\"rows\":{}}}", rows_json(&rows)),
+    )
+    .unwrap();
+    assert_eq!(created.status, 201, "{}", created.body_str());
+    let follower = follower_of(paddr);
+    let faddr = follower.local_addr();
+    let query = "/skyline?dataset=pc&algo=SFS";
+
+    // Both nodes cache the answer at the synced version.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let resp = client::get(faddr, query).unwrap();
+        if resp.status == 200 && parse_skyline_response(&resp.body_str()).0 == 40 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "follower never synced");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(client::get(paddr, query).unwrap().status, 200);
+
+    let ok = client::post(paddr, "/datasets/pc/points", "{\"rows\": [[2, 2, 2]]}").unwrap();
+    assert_eq!(ok.status, 200, "{}", ok.body_str());
+    let ack = Value::parse(&ok.body_str()).unwrap();
+    assert_eq!(u64_field(&ack, "cache_patched"), 1, "the primary patched");
+    assert!(!ack.get("left").and_then(Value::as_arr).unwrap().is_empty());
+
+    let patched = |addr| {
+        let (_, v) = get_json(addr, "/metrics");
+        u64_field(v.get("cache").expect("cache stats"), "patched")
+    };
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while patched(faddr) == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the follower never patched its cached answer"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let on_follower = client::get(faddr, query).unwrap().body_str();
+    let on_primary = client::get(paddr, query).unwrap().body_str();
+    let (version, cached, _) = parse_skyline_response(&on_follower);
+    assert_eq!((version, cached), (41, true), "{on_follower}");
+    assert_eq!(without_elapsed(&on_follower), without_elapsed(&on_primary));
+    assert_eq!(patched(faddr), 1);
+}

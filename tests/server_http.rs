@@ -704,3 +704,112 @@ fn writes_never_build_snapshots_and_a_version_builds_one_at_most_once() {
     let stats = server.cache_stats();
     assert_eq!((stats.hits, stats.misses), (21, 3), "{stats:?}");
 }
+
+/// k-skyband reads (k > 1) compute over every live row: a point beaten
+/// in every dimension still counts toward a k-skyband, so it must not be
+/// left out the way a skyline read leaves it out. Small-integer rows
+/// bring ties and duplicates, removes make handles differ from row
+/// indices, and a ladder of rows each beaten everywhere by exactly one
+/// other row puts such rows in the bands.
+#[test]
+fn k_skyband_reads_cover_every_live_row() {
+    let mut state = 0x5EED_u64;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) % 6) as f64
+    };
+    let mut rows: Vec<Vec<f64>> = (0..150).map(|_| (0..4).map(|_| next()).collect()).collect();
+    rows.extend(rows[..10].to_vec());
+    for j in 0..11 {
+        let front = vec![
+            f64::from(j) - 11.0,
+            -1.0 - f64::from(j),
+            f64::from(7 + j % 3),
+            8.0,
+        ];
+        rows.push(front.iter().map(|v| v + 0.5).collect());
+        rows.push(front);
+    }
+    rows.push(rows[rows.len() - 1].clone());
+    let server = start_server();
+    let addr = server.local_addr();
+    let created = client::post(
+        addr,
+        "/datasets",
+        &format!("{{\"name\": \"band\", \"rows\": {}}}", rows_json(&rows)),
+    )
+    .unwrap();
+    assert_eq!(created.status, 201, "{}", created.body_str());
+    let removed: Vec<u64> = (0..rows.len() as u64).step_by(7).collect();
+    let body = format!("{{\"ids\": {removed:?}}}");
+    let resp = client::request(addr, "DELETE", "/datasets/band/points", body.as_bytes()).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    let handles: Vec<u32> = (0..rows.len() as u32)
+        .filter(|h| !removed.contains(&u64::from(*h)))
+        .collect();
+    let live: Vec<Vec<f64>> = handles.iter().map(|&h| rows[h as usize].clone()).collect();
+    let data = Dataset::from_rows(&live).unwrap();
+    let version = (rows.len() + removed.len()) as u64;
+    // Rows some other live row beats in every dimension: in no skyline,
+    // yet in k-skybands.
+    let beaten_everywhere = |i: usize| {
+        live.iter()
+            .any(|other| other.iter().zip(&live[i]).all(|(a, b)| a < b))
+    };
+    let mut beaten_in_band = 0;
+
+    for k in [2u64, 3] {
+        for dims in [vec![0usize, 1, 2, 3], vec![0, 2], vec![1, 2, 3]] {
+            let mask = Subspace::from_dims(dims.iter().copied());
+            let target = data.project_dims(mask);
+            let mut metrics = skyline_core::metrics::Metrics::new();
+            let band = skyline_algos::skyband::k_skyband_ids(&target, k as usize, &mut metrics);
+            let want: Vec<u32> = band.iter().map(|&i| handles[i as usize]).collect();
+            beaten_in_band += band
+                .iter()
+                .filter(|&&i| beaten_everywhere(i as usize))
+                .count();
+            let spec: Vec<String> = dims.iter().map(usize::to_string).collect();
+            // One engine name per order, so each order starts cold.
+            for (algo, order) in [("SFS", [false, true]), ("SaLSa", [true, false])] {
+                for (i, with_rows) in order.into_iter().enumerate() {
+                    let query = format!(
+                        "/skyline?dataset=band&algo={algo}&k={k}&dims={}&include_rows={}",
+                        spec.join(","),
+                        u8::from(with_rows)
+                    );
+                    let resp = client::get(addr, &query).unwrap();
+                    assert_eq!(resp.status, 200, "{query}: {}", resp.body_str());
+                    let body = resp.body_str();
+                    let (got_version, cached, ids) = parse_skyline_response(&body);
+                    assert_eq!((got_version, cached), (version, i == 1), "{query}");
+                    assert_eq!(ids, want, "{query}");
+                    let v = Value::parse(&body).unwrap();
+                    let Some(got_rows) = v.get("rows").and_then(Value::as_arr) else {
+                        assert!(!with_rows, "{query}: rows requested");
+                        continue;
+                    };
+                    assert!(with_rows, "{query}: rows are opt-in");
+                    assert_eq!(got_rows.len(), ids.len());
+                    for (row, &i) in got_rows.iter().zip(&band) {
+                        let row: Vec<f64> = row
+                            .as_arr()
+                            .unwrap()
+                            .iter()
+                            .map(|x| x.as_f64().unwrap())
+                            .collect();
+                        assert_eq!(
+                            row,
+                            target.point(i),
+                            "{query}: row of {}",
+                            handles[i as usize]
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(beaten_in_band > 0, "the bands hold rows beaten everywhere");
+}
