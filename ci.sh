@@ -163,8 +163,12 @@ if [[ "$quick" != "quick" ]]; then
         -d '{"name": "ci", "synthetic": {"distribution": "AC", "n": 600, "dims": 4, "seed": 3}}' \
         | grep -q '"points":600'
     curl -sf "http://$coord/skyline?dataset=ci&algo=SDI-Subset" \
-        | grep -q '"partial":false'
+        | grep -q '"cached":false.*"partial":false'
+    # No write since: every shard answers 304 and the held merge stands.
+    curl -sf "http://$coord/skyline?dataset=ci&algo=SDI-Subset" \
+        | grep -q '"cached":true.*"partial":false'
     curl -sf "http://$coord/metrics" | grep -q '"shards":\['
+    curl -sf "http://$coord/metrics" | grep -q '"held_reads":[1-9]'
 
     echo "==> tracing smoke: propagated trace id + stitched shard spans"
     trace_id=feedbead12345678
@@ -183,8 +187,12 @@ if [[ "$quick" != "quick" ]]; then
     grep -q '^# TYPE skyline_stage_us histogram' "$tmp/prom.txt"
     grep -q 'skyline_shard_rpc_requests{shard="0"}' "$tmp/prom.txt"
     grep -q '^# TYPE skyline_shard_rpc_requests counter' "$tmp/prom.txt"
+    grep -q 'skyline_shard_rpc_not_modified{shard="1"} [1-9]' "$tmp/prom.txt"
+    grep -q 'skyline_held_reads_total [1-9]' "$tmp/prom.txt"
 
-    kill -9 "$shard1_pid"    # shard death degrades, never errors
+    curl -sf "http://$coord/skyline?dataset=ci&algo=SDI-Subset" \
+        | grep -q '"cached":true'
+    kill -9 "$shard1_pid"    # shard death degrades, never errors, held or not
     wait "$shard1_pid" 2>/dev/null || true
     curl -sf "http://$coord/skyline?dataset=ci&algo=SDI-Subset" \
         | grep -q '"partial":true,"missing_shards":\[1\]'

@@ -70,10 +70,11 @@ pub(crate) fn handle_metrics(shared: &Shared, req: &Request) -> Response {
 /// The series `/metrics?format=prometheus` adds to the front end's own.
 fn prometheus_extras(shared: &Shared) -> Vec<Extra> {
     let mut extras = Vec::new();
-    for counter in ["requests", "errors", "attempts", "total_us"] {
+    for counter in ["requests", "not_modified", "errors", "attempts", "total_us"] {
         for (s, stats) in shared.shard_stats.iter().enumerate() {
             let value = match counter {
                 "requests" => stats.requests.load(Ordering::Relaxed),
+                "not_modified" => stats.not_modified.load(Ordering::Relaxed),
                 "errors" => stats.errors.load(Ordering::Relaxed),
                 "attempts" => stats.attempts.load(Ordering::Relaxed),
                 _ => stats.total_us.load(Ordering::Relaxed),
@@ -95,6 +96,10 @@ fn prometheus_extras(shared: &Shared) -> Vec<Extra> {
     extras.push(Extra::counter(
         "skyline_promotions_total",
         shared.promotions_total.load(Ordering::Relaxed),
+    ));
+    extras.push(Extra::counter(
+        "skyline_held_reads_total",
+        shared.held_reads.load(Ordering::Relaxed),
     ));
     {
         let topo = shared.topology.read().unwrap_or_else(|e| e.into_inner());
@@ -129,6 +134,7 @@ fn metrics_json(shared: &Shared) -> String {
                 .u64_field("replicas", topo.replicas[s].len() as u64)
                 .u64_field("stale", topo.stale[s].len() as u64)
                 .u64_field("requests", stats.requests.load(Ordering::Relaxed))
+                .u64_field("not_modified", stats.not_modified.load(Ordering::Relaxed))
                 .u64_field("errors", stats.errors.load(Ordering::Relaxed))
                 .u64_field("attempts", stats.attempts.load(Ordering::Relaxed))
                 .u64_field("total_us", stats.total_us.load(Ordering::Relaxed));
@@ -167,6 +173,7 @@ fn metrics_json(shared: &Shared) -> String {
         "promotions_total",
         shared.promotions_total.load(Ordering::Relaxed),
     )
+    .u64_field("held_reads", shared.held_reads.load(Ordering::Relaxed))
     .raw_field("endpoints", &shared.front.metrics.render_json())
     .raw_field("stages", &shared.front.metrics.render_stages_json())
     .raw_field("shards", &format!("[{}]", shard_objs.join(",")))

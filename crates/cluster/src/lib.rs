@@ -43,6 +43,7 @@
 
 mod admin;
 mod failover;
+mod held;
 pub mod manifest;
 mod mutation;
 mod query;
@@ -63,6 +64,7 @@ use skyline_serve::service::{self, FrontConfig, FrontEnd, Service};
 
 use admin::{handle_healthz, handle_list, handle_metrics};
 use failover::run_prober;
+use held::HeldAnswers;
 use manifest::Manifest;
 use mutation::{handle_create, handle_insert, handle_remove};
 use query::handle_skyline;
@@ -167,6 +169,8 @@ struct ShardStats {
     /// Wall-clock across all calls, µs (includes backoff between
     /// retries).
     total_us: AtomicU64,
+    /// Read legs the shard answered 304: the held answer still stood.
+    not_modified: AtomicU64,
 }
 
 /// Mutable routing state: which node is each shard's primary right
@@ -227,6 +231,10 @@ struct Shared {
     suspect_misses: u32,
     /// Successful automatic promotions since boot.
     promotions_total: AtomicU64,
+    /// The shards' last answers per query, and the ids merged from them.
+    held: Mutex<HeldAnswers>,
+    /// Reads answered from held answers.
+    held_reads: AtomicU64,
 }
 
 impl Service for Shared {
@@ -366,6 +374,8 @@ impl Cluster {
             probe_ms: config.probe_ms.max(10),
             suspect_misses: config.suspect_misses.max(1),
             promotions_total: AtomicU64::new(0),
+            held: Mutex::new(HeldAnswers::default()),
+            held_reads: AtomicU64::new(0),
         });
         let mut running = service::start(listener, shared.clone())?;
         if shared.failover {

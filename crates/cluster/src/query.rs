@@ -1,8 +1,11 @@
 //! `GET /skyline` on the coordinator: scatter to every shard for its
 //! skyline with masks and rows, gather the replies, and finish with the
-//! cross-shard subset merge.
+//! cross-shard subset merge, or answer from what is held when no shard
+//! changed (see [`crate::held`]).
 
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use skyline_core::cancel::{CancelToken, Cancelled};
@@ -15,6 +18,7 @@ use skyline_obs::{Event, NoopRecorder};
 use skyline_serve::api::{self, SkylineHead, SkylineQuery};
 use skyline_serve::http::{Request, Response};
 
+use crate::held::{Held, HeldBody};
 use crate::rpc::{encode_component, reply_handles, scatter, shard_read_rpc};
 use crate::{dataset, Shared};
 
@@ -29,7 +33,7 @@ pub(crate) struct ShardSkyline {
     /// Coordinates parallel to `handles`, already in query space.
     pub(crate) rows: Vec<Vec<f64>>,
     /// Resolved algorithm name, echoed back to the client.
-    algorithm: String,
+    pub(crate) algorithm: String,
 }
 
 /// Read one shard's `/skyline` reply in a `dims`-dimensional query
@@ -84,7 +88,8 @@ pub(crate) fn parse_shard_skyline(body: &str, dims: usize) -> Result<ShardSkylin
 /// `GET /skyline?dataset=&algo=&dims=&threads=&deadline_ms=` —
 /// scatter-gather over the shards plus the elite-referenced cross-shard
 /// merge. Responds `"partial": true` with a `missing_shards` list when
-/// shards stayed unreachable after retries.
+/// shards stayed unreachable after retries, and `"cached": true` when
+/// every shard answered 304 at the version the held ids were merged at.
 pub(crate) fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response, Response> {
     let overall = Instant::now();
     let mut timer = StageTimer::start();
@@ -156,6 +161,14 @@ pub(crate) fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response,
     if let Some(raw) = query.dims {
         path.push_str(&format!("&dims={}", encode_component(raw)));
     }
+    // Answers are held by the shard query without its deadline.
+    let held_query = path.clone();
+    let held = shared
+        .held
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .get(&held_query);
+    let held_body = |s: usize| held.as_ref().and_then(|h| h.shards[s].as_ref());
     let remaining = budget.map(|b| b.saturating_sub(overall.elapsed()));
     if let Some(rem) = remaining {
         if rem.is_zero() {
@@ -166,8 +179,9 @@ pub(crate) fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response,
     let shard_count = shared.shard_count;
     timer.mark("route");
     let legs = scatter(shard_count, |s| {
+        let etag = held_body(s).map(|b| b.etag.as_str());
         let leg_start = Instant::now();
-        let result = shard_read_rpc(shared, s, &path, remaining, Some(&ctx));
+        let result = shard_read_rpc(shared, s, &path, etag, remaining, Some(&ctx));
         (result, leg_start.elapsed().as_micros() as u64)
     });
 
@@ -200,42 +214,90 @@ pub(crate) fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response,
         "shard_wait",
     );
 
-    let mut parsed: Vec<Option<ShardSkyline>> = Vec::with_capacity(shard_count);
+    // A 304 stands for the answer held for that shard, a 200 replaces
+    // it, and anything else leaves the shard missing.
+    let mut bodies: Vec<Option<Arc<HeldBody>>> = Vec::with_capacity(shard_count);
     let mut missing: Vec<u64> = Vec::new();
+    let mut unchanged = 0;
     for (s, (outcome, _)) in legs.into_iter().enumerate() {
-        match outcome {
+        let body = match outcome {
+            Ok((resp, _)) if resp.status == 304 => {
+                unchanged += 1;
+                held_body(s).cloned()
+            }
             Ok((resp, _)) if resp.status == 200 => {
-                match parse_shard_skyline(&resp.body_str(), query_dims) {
-                    Ok(sky) => parsed.push(Some(sky)),
-                    Err(_) => {
-                        missing.push(s as u64);
-                        parsed.push(None);
-                    }
-                }
+                parse_shard_skyline(&resp.body_str(), query_dims)
+                    .ok()
+                    .map(|sky| {
+                        let etag = resp.header("etag").unwrap_or_default().to_string();
+                        Arc::new(HeldBody { etag, sky })
+                    })
             }
             Ok((resp, _)) if resp.status == 504 => return Err(deadline_response()),
-            _ => {
-                missing.push(s as u64);
-                parsed.push(None);
-            }
+            _ => None,
+        };
+        if body.is_none() {
+            missing.push(s as u64);
         }
+        bodies.push(body);
     }
     if missing.len() == shard_count {
         return Err(Response::error(502, "no shard answered the skyline query"));
     }
     let partial = !missing.is_empty();
 
+    // The answer, from the held ids or a fresh merge.
+    let respond = |ids: &[u64], cached: bool, timer: StageTimer| {
+        let algorithm = bodies
+            .iter()
+            .flatten()
+            .next()
+            .map_or(algo_label, |body| body.sky.algorithm.as_str());
+        let head = SkylineHead {
+            dataset: name,
+            algorithm,
+            version,
+            mask_bits: mask.bits(),
+            k: 1,
+            cached,
+            elapsed_us: overall.elapsed().as_micros() as u64,
+            ids,
+        };
+        let cluster_fields = |w: &mut ObjectWriter| {
+            w.u64_field("shards", shard_count as u64)
+                .bool_field("partial", partial)
+                .u64_array_field("missing_shards", &missing);
+        };
+        let body = head.answer(cluster_fields, query.timings.then(|| timer.stages()));
+        shared
+            .front
+            .finish_skyline(timer, &ctx.trace_id, straggler, Response::json(200, body))
+    };
+    // No shard changed since the held merge and neither did the
+    // coordinator's handle maps: the held ids are the answer.
+    if let Some((_, ids)) = held
+        .as_ref()
+        .and_then(|h| h.merged.as_ref())
+        .filter(|(at, _)| unchanged == shard_count && *at == version)
+    {
+        shared.held_reads.fetch_add(1, Ordering::Relaxed);
+        timer.mark("gather");
+        timer.mark("merge");
+        return Ok(respond(ids, true, timer));
+    }
+
     // Translate shard handles to global ids and assemble the merge
-    // inputs. Rows live in one arena so elite references and the
-    // key→row lookup borrow from the same place.
-    let mut rows_store: Vec<Vec<f64>> = Vec::new();
+    // inputs. Rows stay in the shard answers, so elite references and
+    // the key→row lookup borrow from the same place.
+    let mut rows_store: Vec<&[f64]> = Vec::new();
     let mut row_index: HashMap<u64, usize> = HashMap::new();
     let mut entries: Vec<MergeEntry> = Vec::new();
-    let mut elite_slots: Vec<(u32, usize)> = Vec::new();
-    for (s, sky) in parsed.iter().enumerate() {
-        let Some(sky) = sky else { continue };
+    let mut elites: Vec<EliteRef<'_>> = Vec::new();
+    for (s, body) in bodies.iter().enumerate() {
+        let Some(HeldBody { sky, .. }) = body.as_deref() else {
+            continue;
+        };
         let map = &handle_maps[s];
-        let base = rows_store.len();
         for (i, &h) in sky.handles.iter().enumerate() {
             let Some(&global) = map.get(&h) else {
                 return Err(Response::error(
@@ -249,19 +311,15 @@ pub(crate) fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response,
                 shard: s as u32,
                 premask: Subspace::from_bits(sky.masks[i]),
             });
-            rows_store.push(sky.rows[i].clone());
+            rows_store.push(&sky.rows[i]);
         }
         for &e in &sky.elites {
-            elite_slots.push((s as u32, base + e));
+            elites.push(EliteRef {
+                shard: s as u32,
+                row: &sky.rows[e],
+            });
         }
     }
-    let elites: Vec<EliteRef<'_>> = elite_slots
-        .iter()
-        .map(|&(s, i)| EliteRef {
-            shard: s,
-            row: rows_store[i].as_slice(),
-        })
-        .collect();
     timer.mark("gather");
 
     let remaining = budget.map(|b| b.saturating_sub(overall.elapsed()));
@@ -274,7 +332,7 @@ pub(crate) fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response,
     };
     let mut metrics = Metrics::new();
     let merge_start = Instant::now();
-    let row_of = |key: u64| rows_store[row_index[&key]].as_slice();
+    let row_of = |key: u64| rows_store[row_index[&key]];
     let merged: Result<Vec<u64>, Cancelled> = match &shared.front.recorder {
         Some(rec) => {
             let mut rec = rec.lock().unwrap_or_else(|e| e.into_inner());
@@ -311,28 +369,16 @@ pub(crate) fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response,
     });
     timer.mark("merge");
 
-    let algorithm = parsed
-        .iter()
-        .flatten()
-        .next()
-        .map_or(algo_label, |sky| sky.algorithm.as_str());
-    let head = SkylineHead {
-        dataset: name,
-        algorithm,
-        version,
-        mask_bits: mask.bits(),
-        k: 1,
-        cached: false,
-        elapsed_us: overall.elapsed().as_micros() as u64,
-        ids: &ids,
-    };
-    let cluster_fields = |w: &mut ObjectWriter| {
-        w.u64_field("shards", shard_count as u64)
-            .bool_field("partial", partial)
-            .u64_array_field("missing_shards", &missing);
-    };
-    let body = head.answer(cluster_fields, query.timings.then(|| timer.stages()));
-    Ok(shared
-        .front
-        .finish_skyline(timer, &ctx.trace_id, straggler, Response::json(200, body)))
+    // Hold what this read merged from; a shard that failed keeps the
+    // answer held for it, and a partial merge is not held.
+    let shards = (0..shard_count)
+        .map(|s| bodies[s].clone().or_else(|| held_body(s).cloned()))
+        .collect();
+    let merged = (!partial).then(|| (version, ids.clone()));
+    shared
+        .held
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .put(held_query, Held { shards, merged });
+    Ok(respond(&ids, false, timer))
 }

@@ -58,6 +58,7 @@ pub(crate) fn shard_rpc(
         endpoint,
         path,
         body,
+        None,
         budget,
         ctx,
     )
@@ -65,7 +66,8 @@ pub(crate) fn shard_rpc(
 
 /// [`shard_rpc`] against an explicit address — the same counters and
 /// trace events (attributed to the shard index), but aimed at a read
-/// replica instead of the primary.
+/// replica instead of the primary — optionally conditional on
+/// `if_none_match`.
 #[allow(clippy::too_many_arguments)]
 fn shard_rpc_at(
     shared: &Shared,
@@ -75,6 +77,7 @@ fn shard_rpc_at(
     endpoint: &str,
     path: &str,
     body: &[u8],
+    if_none_match: Option<&str>,
     budget: Option<Duration>,
     ctx: Option<&TraceContext>,
 ) -> io::Result<(ClientResponse, RequestTiming)> {
@@ -90,6 +93,9 @@ fn shard_rpc_at(
         ],
         None => Vec::new(),
     };
+    if let Some(etag) = if_none_match {
+        headers.push(("If-None-Match".to_string(), etag.to_string()));
+    }
     // Writes carry the shard's fencing epoch plus the current primary,
     // so a deposed primary that resurfaces refuses them (409) and
     // demotes itself toward the successor. Epoch 0 means no failover
@@ -117,6 +123,9 @@ fn shard_rpc_at(
     if status == 0 || status >= 400 {
         stats.errors.fetch_add(1, Ordering::Relaxed);
     }
+    if status == 304 {
+        stats.not_modified.fetch_add(1, Ordering::Relaxed);
+    }
     shared.front.emit(Event::ShardRpc {
         shard: shard as u64,
         endpoint: endpoint.to_string(),
@@ -138,35 +147,42 @@ fn replica_is_fresh(resp: &ClientResponse, bound: u64) -> bool {
         .is_some_and(|lag| lag <= bound)
 }
 
-/// Route one `/skyline` read leg: prefer the shard's replicas
-/// (round-robin) and accept a replica answer only when it is fresh
-/// enough; anything else — unreachable replica, error status, missing
-/// lag header, staleness beyond the bound — falls back to the primary.
-/// Writes never come through here.
+/// Route one `/skyline` read leg, conditional on `etag` when an answer
+/// is held for the shard: prefer the shard's replicas (round-robin) and
+/// accept a replica's 200 or 304 only when it is fresh enough; anything
+/// else — unreachable replica, error status, missing lag header,
+/// staleness beyond the bound — falls back to the primary. Writes never
+/// come through here.
 pub(crate) fn shard_read_rpc(
     shared: &Shared,
     shard: usize,
     path: &str,
+    etag: Option<&str>,
     budget: Option<Duration>,
     ctx: Option<&TraceContext>,
 ) -> io::Result<(ClientResponse, RequestTiming)> {
-    let followers = shared.replicas_of(shard);
-    if !followers.is_empty() {
-        let pick = shared.replica_rr.fetch_add(1, Ordering::Relaxed) % followers.len();
-        shared.replica_requests.fetch_add(1, Ordering::Relaxed);
-        match shard_rpc_at(
+    let leg = |addr| {
+        shard_rpc_at(
             shared,
             shard,
-            followers[pick],
+            addr,
             "GET",
             "/skyline",
             path,
             &[],
+            etag,
             budget,
             ctx,
-        ) {
+        )
+    };
+    let followers = shared.replicas_of(shard);
+    if !followers.is_empty() {
+        let pick = shared.replica_rr.fetch_add(1, Ordering::Relaxed) % followers.len();
+        shared.replica_requests.fetch_add(1, Ordering::Relaxed);
+        match leg(followers[pick]) {
             Ok((resp, timing))
-                if resp.status == 200 && replica_is_fresh(&resp, shared.replica_staleness) =>
+                if matches!(resp.status, 200 | 304)
+                    && replica_is_fresh(&resp, shared.replica_staleness) =>
             {
                 return Ok((resp, timing));
             }
@@ -175,7 +191,7 @@ pub(crate) fn shard_read_rpc(
             }
         }
     }
-    shard_rpc(shared, shard, "GET", "/skyline", path, &[], budget, ctx)
+    leg(shared.primary_of(shard))
 }
 
 /// The `ids` of a shard's reply, as shard-local handles. A node lists

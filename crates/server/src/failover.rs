@@ -23,6 +23,10 @@ use crate::{Shared, EPOCH_HEADER, PRIMARY_HEADER};
 /// new primary ([`PRIMARY_HEADER`]), the node demotes itself into a
 /// follower of it on the spot; the refused request is retried by its
 /// sender, and by then this node redirects like any other replica.
+/// When the request names this node, and it is a primary, the succession
+/// it missed made it the primary of that epoch: it adopts the epoch,
+/// durably, and serves the request. A node demoted toward it under that
+/// epoch would otherwise be refused on every feed poll.
 pub(crate) fn fence_check(shared: &Shared, req: &Request, endpoint: &str) -> Option<Response> {
     let raw = req.header(EPOCH_HEADER)?;
     let Ok(request_epoch) = raw.parse::<u64>() else {
@@ -35,6 +39,18 @@ pub(crate) fn fence_check(shared: &Shared, req: &Request, endpoint: &str) -> Opt
     if request_epoch == node_epoch {
         return None;
     }
+    let named = req
+        .header(PRIMARY_HEADER)
+        .and_then(|p| p.parse::<SocketAddr>().ok());
+    if request_epoch > node_epoch
+        && named == Some(shared.front.addr)
+        && shared.failover.adopt_epoch(request_epoch)
+    {
+        // As on a demotion: a durable node that fails the write
+        // re-learns the epoch from the next stamped request.
+        let _ = shared.registry.persist_epoch(request_epoch);
+        return None;
+    }
     shared.failover.fenced_total.fetch_add(1, Ordering::Relaxed);
     shared.front.emit(Event::FencedRequest {
         endpoint: endpoint.to_string(),
@@ -43,11 +59,7 @@ pub(crate) fn fence_check(shared: &Shared, req: &Request, endpoint: &str) -> Opt
     });
     let mut successor: Option<SocketAddr> = None;
     if request_epoch > node_epoch {
-        if let Some(primary) = req
-            .header(PRIMARY_HEADER)
-            .and_then(|p| p.parse::<SocketAddr>().ok())
-            .filter(|p| *p != shared.front.addr)
-        {
+        if let Some(primary) = named.filter(|p| *p != shared.front.addr) {
             if shared.failover.demote(request_epoch, primary).is_ok() {
                 // Followers are memory-only so this is a no-op there; a
                 // durable node that fails the write re-learns the epoch

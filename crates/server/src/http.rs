@@ -298,6 +298,7 @@ impl Response {
         match status {
             200 => "OK",
             201 => "Created",
+            304 => "Not Modified",
             307 => "Temporary Redirect",
             400 => "Bad Request",
             404 => "Not Found",

@@ -200,7 +200,9 @@ fn take_snapshot(
     snapshot
 }
 
-/// `GET /skyline?dataset=&algo=&dims=&k=&threads=&deadline_ms=`.
+/// `GET /skyline?dataset=&algo=&dims=&k=&threads=&deadline_ms=`, a
+/// conditional GET: `If-None-Match` with the `ETag` of the current
+/// version answers 304 with no body.
 pub(crate) fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response, Response> {
     let mut timer = StageTimer::start();
     let trace_id = inherited_trace(req);
@@ -248,6 +250,24 @@ pub(crate) fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response,
     let mask = query.mask(entry.dims())?;
 
     timer.mark("parse");
+    // Every answer names its validator, the entry's tag and the version
+    // it was computed at. A 304 carries the headers of the 200 it
+    // stands for, without the body.
+    let reply = |status: u16, version: u64, body: String| {
+        let resp = Response::json(status, body).with_header("ETag", &entry.etag(version));
+        with_replica_lag(shared, name, resp)
+    };
+    // A conditional read that names the current version of this entry
+    // changes nothing: say so before any snapshot, cache or extras work.
+    if let Some(tag) = req.header("If-None-Match") {
+        let version = entry.version();
+        if tag == entry.etag(version) {
+            let resp = reply(304, version, String::new());
+            return Ok(shared
+                .front
+                .finish_skyline(timer, &trace_id, String::new(), resp));
+        }
+    }
     // One cache probe, keyed by the version of the rows the answer
     // needs. A read with extras maps its answer onto rows, so it takes
     // the snapshot first and probes at the snapshot's version. Any other
@@ -306,7 +326,7 @@ pub(crate) fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response,
             extras.as_ref(),
             query.timings.then(|| timer.stages()),
         );
-        let resp = with_replica_lag(shared, name, Response::json(200, body));
+        let resp = reply(200, key.version, body);
         return Ok(shared
             .front
             .finish_skyline(timer, &trace_id, String::new(), resp));
@@ -384,6 +404,7 @@ pub(crate) fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response,
         extras.as_ref(),
         query.timings.then(|| timer.stages()),
     );
+    let resp = reply(200, key.version, body);
     // A resync that replaces `entry` retires it, then drops the
     // dataset's cached answers, then swaps: this answer must land before
     // that drop or not at all.
@@ -392,7 +413,6 @@ pub(crate) fn handle_skyline(shared: &Shared, req: &Request) -> Result<Response,
         .insert_if(key, CachedResult { ids, elapsed_us }, || {
             !entry.is_retired()
         });
-    let resp = with_replica_lag(shared, name, Response::json(200, body));
     Ok(shared
         .front
         .finish_skyline(timer, &trace_id, String::new(), resp))

@@ -172,6 +172,10 @@ pub struct DatasetEntry {
     /// Set once a resync is about to replace this entry (see
     /// [`DatasetEntry::retire`]).
     retired: AtomicBool,
+    /// Minted once per entry, so a recreated, recovered or resynced
+    /// dataset never shares a validator with the entry it replaced,
+    /// even at the same version (see [`DatasetEntry::etag`]).
+    tag: String,
 }
 
 /// Lock helpers that survive a poisoned lock: a panicking handler must
@@ -239,6 +243,7 @@ impl DatasetEntry {
             }),
             feed_signal: (Mutex::new(version), Condvar::new()),
             retired: AtomicBool::new(false),
+            tag: skyline_obs::trace::mint_id(),
         }
     }
 
@@ -296,6 +301,13 @@ impl DatasetEntry {
     /// Current content version: what a cached answer is keyed by.
     pub fn version(&self) -> u64 {
         read_lock(&self.inner).stream.version()
+    }
+
+    /// The `ETag` of an answer computed on this entry at `version`:
+    /// the entry's tag names the rows' history, the version a point in
+    /// it.
+    pub(crate) fn etag(&self, version: u64) -> String {
+        format!("\"{}-{version}\"", self.tag)
     }
 
     /// Summary counters.

@@ -181,6 +181,19 @@ impl ReplicaState {
         Ok(())
     }
 
+    /// Raise a primary's epoch to `epoch`, for a request stamped with
+    /// `epoch` that names this node its primary: a follower demoted under
+    /// an epoch above ours stamps its feed polls so. `false` (nothing
+    /// changes) on a follower; the epoch never falls.
+    pub(crate) fn adopt_epoch(&self, epoch: u64) -> bool {
+        let role = self.role.read().unwrap_or_else(|e| e.into_inner());
+        if *role != Role::Primary {
+            return false;
+        }
+        self.epoch.fetch_max(epoch, Ordering::AcqRel);
+        true
+    }
+
     /// Versions `dataset` trailed the primary by at the last applied
     /// batch (0 when unknown or fully caught up).
     pub fn lag_of(&self, dataset: &str) -> u64 {
@@ -594,5 +607,20 @@ mod tests {
         assert_eq!(state.follow_target(), Some(addr(9)));
         assert!(state.generation() > generation);
         assert_eq!(state.demotions_total.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn only_a_primary_adopts_a_higher_epoch() {
+        let primary = ReplicaState::new(Role::Primary, 100, 1);
+        let generation = primary.generation();
+        assert!(primary.adopt_epoch(3));
+        assert_eq!(primary.epoch(), 3);
+        assert!(primary.adopt_epoch(2));
+        assert_eq!(primary.epoch(), 3, "the epoch never falls");
+        assert_eq!(primary.role(), Role::Primary);
+        assert_eq!(primary.generation(), generation, "no role change");
+        let follower = ReplicaState::new(Role::Follower { primary: addr(1) }, 100, 1);
+        assert!(!follower.adopt_epoch(3));
+        assert_eq!(follower.epoch(), 1);
     }
 }

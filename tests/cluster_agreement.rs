@@ -3,14 +3,19 @@
 //! rows — same ids, any shard count — and degrade to the *correct
 //! subset* (not an error) when a shard dies.
 
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
+use skyline_algos::algorithm_by_name;
 use skyline_cluster::shard_map::shard_of;
 use skyline_cluster::{Cluster, ClusterConfig, ClusterHandle};
 use skyline_core::dataset::Dataset;
+use skyline_core::subspace::Subspace;
+use skyline_data::rng::Rng64;
 use skyline_integration_tests::{http_client, oracle_skyline, rows_json};
 use skyline_obs::json::Value;
+use skyline_obs::trace::{decode_stage_times, STAGE_TIMES_HEADER};
 use skyline_serve::ServerHandle;
 
 /// Spawn `n` in-process shard servers plus a coordinator fronting them.
@@ -754,4 +759,268 @@ fn mismatched_replica_config_is_refused() {
         Ok(_) => panic!("3 replica lists over 1 shard must be refused"),
     };
     assert!(err.contains("--replicas"), "unhelpful error: {err}");
+}
+
+/// One coordinator read: `(version, cached, partial, missing, ids)`.
+fn read_held(coord: SocketAddr, path: &str) -> (u64, bool, bool, Vec<u64>, Vec<u64>) {
+    let resp = http_client::get(coord, path).expect("query");
+    assert_eq!(resp.status, 200, "{path}: {}", resp.body_str());
+    let v = Value::parse(&resp.body_str()).expect("response JSON");
+    let flag = |field: &str| match v.get(field) {
+        Some(Value::Bool(b)) => *b,
+        other => panic!("bad {field:?} field {other:?}"),
+    };
+    let list = |field: &str| -> Vec<u64> {
+        v.get(field)
+            .and_then(Value::as_arr)
+            .unwrap_or_else(|| panic!("missing {field:?}"))
+            .iter()
+            .map(|x| x.as_u64().expect("numeric"))
+            .collect()
+    };
+    let version = v.get("version").and_then(Value::as_u64).expect("version");
+    let (ids, missing) = (list("ids"), list("missing_shards"));
+    (version, flag("cached"), flag("partial"), missing, ids)
+}
+
+/// `algo` over `live` (global id → row, ascending) projected onto
+/// `dims` (empty = every dimension), as global ids: the direct library
+/// call a coordinator answer must equal.
+fn direct_answer(live: &BTreeMap<u64, Vec<f64>>, dims: &[usize], algo: &str) -> Vec<u64> {
+    let globals: Vec<u64> = live.keys().copied().collect();
+    let rows: Vec<Vec<f64>> = live.values().cloned().collect();
+    let data = Dataset::from_rows(&rows).expect("dataset");
+    let target = if dims.is_empty() {
+        data
+    } else {
+        data.project_dims(Subspace::from_dims(dims.iter().copied()))
+    };
+    algorithm_by_name(algo)
+        .expect("engine")
+        .compute(&target)
+        .into_iter()
+        .map(|i| globals[i as usize])
+        .collect()
+}
+
+/// A seeded script of inserts, removes and repeated reads through 2 and
+/// 3 shards. Every answer equals a direct library call over the live
+/// rows at the version it reports, and a read repeated with no write in
+/// between is answered from what the coordinator holds.
+#[test]
+fn held_answers_agree_with_the_oracle_through_a_seeded_script() {
+    let queries: Vec<(Vec<usize>, &str)> = [vec![], vec![0, 2], vec![1, 2, 3]]
+        .into_iter()
+        .flat_map(|dims| {
+            ["SFS-Subset", "SaLSa-Subset", "SDI-Subset"].map(move |algo| (dims.clone(), algo))
+        })
+        .collect();
+    for shard_count in [2usize, 3] {
+        let (_shards, coordinator) = start_cluster(shard_count);
+        let coord = coordinator.local_addr();
+        let pool: Vec<Vec<f64>> = skyline_data::SyntheticSpec {
+            distribution: skyline_data::Distribution::AntiCorrelated,
+            cardinality: 260,
+            dims: 4,
+            seed: 0x4E1D + shard_count as u64,
+        }
+        .generate()
+        .iter()
+        .map(|(_, row)| row.to_vec())
+        .collect();
+        create_dataset(coord, "held", &pool[..200]);
+        let mut live: BTreeMap<u64, Vec<f64>> =
+            (0..200u64).map(|g| (g, pool[g as usize].clone())).collect();
+        let mut next = 200usize;
+        let mut rng = Rng64::seed_from_u64(0xC0FFEE + shard_count as u64);
+        let mut held_reads = 0u64;
+        for step in 0..16u64 {
+            // Creation is version 1, and each write adds one.
+            let version = step + 1;
+            // Read a seeded half of the queries twice each: the first
+            // read after a write merges, the repeat is held.
+            for (dims, algo) in queries.iter().filter(|_| rng.gen_bool(0.5)) {
+                let spec: Vec<String> = dims.iter().map(usize::to_string).collect();
+                let mut path = format!("/skyline?dataset=held&algo={algo}");
+                if !dims.is_empty() {
+                    path.push_str(&format!("&dims={}", spec.join(",")));
+                }
+                let want = direct_answer(&live, dims, algo);
+                for repeat in [false, true] {
+                    let (v, cached, partial, missing, ids) = read_held(coord, &path);
+                    let what = format!("{shard_count} shards, step {step}, {path}");
+                    assert!(!partial && missing.is_empty(), "{what}");
+                    assert_eq!(v, version, "{what}");
+                    assert_eq!(ids, want, "{what} at version {v}");
+                    assert_eq!(cached, repeat, "{what}: only a repeated read is held");
+                    held_reads += u64::from(repeat);
+                }
+            }
+            // One write: insert a few pool rows, or remove live ids
+            // (the skyline's first id among them).
+            let reply = if next < pool.len() && rng.gen_bool(0.5) {
+                let k = rng.gen_range_usize(1, 4).min(pool.len() - next);
+                let rows = &pool[next..next + k];
+                for (g, row) in (next..next + k).zip(rows) {
+                    live.insert(g as u64, row.clone());
+                }
+                next += k;
+                let body = format!("{{\"rows\":{}}}", rows_json(rows));
+                http_client::post(coord, "/datasets/held/points", &body).expect("insert")
+            } else {
+                let keys: Vec<u64> = live.keys().copied().collect();
+                let mut victims = vec![direct_answer(&live, &[], "SFS-Subset")[0]];
+                victims.push(keys[rng.gen_below(keys.len() as u64) as usize]);
+                victims.dedup();
+                for g in &victims {
+                    live.remove(g);
+                }
+                let ids: Vec<String> = victims.iter().map(u64::to_string).collect();
+                let body = format!("{{\"ids\":[{}]}}", ids.join(","));
+                http_client::request(coord, "DELETE", "/datasets/held/points", body.as_bytes())
+                    .expect("remove")
+            };
+            assert_eq!(reply.status, 200, "{}", reply.body_str());
+        }
+        assert!(held_reads > 0);
+        assert_eq!(coord_metric(coord, "held_reads"), held_reads);
+        let metrics = http_client::get(coord, "/metrics").unwrap().body_str();
+        assert!(metrics.contains("\"not_modified\":"), "{metrics}");
+        let prom = http_client::get(coord, "/metrics?format=prometheus")
+            .unwrap()
+            .body_str();
+        assert!(
+            prom.contains(&format!("skyline_held_reads_total {held_reads}")),
+            "{prom}"
+        );
+        assert!(prom.contains("# TYPE skyline_shard_rpc_not_modified counter"));
+    }
+}
+
+/// A shard that dies after the coordinator held its answer is missing
+/// from the next read like from any other: every read still asks every
+/// shard.
+#[test]
+fn killed_shard_is_missing_even_with_its_answer_held() {
+    let (mut shards, coordinator) = start_cluster(3);
+    let coord = coordinator.local_addr();
+    let rows: Vec<Vec<f64>> = skyline_data::SyntheticSpec {
+        distribution: skyline_data::Distribution::AntiCorrelated,
+        cardinality: 300,
+        dims: 3,
+        seed: 0xDEAD,
+    }
+    .generate()
+    .iter()
+    .map(|(_, row)| row.to_vec())
+    .collect();
+    create_dataset(coord, "gone", &rows);
+    let path = "/skyline?dataset=gone";
+    let (_, cached, partial, _, _) = read_held(coord, path);
+    assert!(!cached && !partial);
+    let (_, cached, partial, _, _) = read_held(coord, path);
+    assert!(cached && !partial, "the repeat is held");
+    // A held read keeps the stage taxonomy, and each shard's 304 its
+    // own stage times.
+    let resp = http_client::get(coord, path).unwrap();
+    let stages = decode_stage_times(resp.header(STAGE_TIMES_HEADER).expect("stage times"));
+    let names: Vec<&str> = stages.iter().map(|(n, _)| n.as_str()).collect();
+    let contiguous: Vec<&str> = names.iter().copied().filter(|n| !n.contains('.')).collect();
+    assert_eq!(
+        contiguous,
+        [
+            "accept",
+            "route",
+            "connect",
+            "send",
+            "shard_wait",
+            "gather",
+            "merge",
+            "respond"
+        ]
+    );
+    for s in 0..3 {
+        assert!(
+            names.contains(&format!("shard{s}.parse").as_str()),
+            "{names:?}"
+        );
+    }
+
+    const DEAD: usize = 1;
+    shards[DEAD].shutdown();
+    let (_, cached, partial, missing, ids) = read_held(coord, path);
+    assert!(partial && !cached, "a dead shard is missing, held or not");
+    assert_eq!(missing, vec![DEAD as u64]);
+    let survivors: BTreeMap<u64, Vec<f64>> = (0..rows.len() as u64)
+        .filter(|&g| shard_of(g, 3) != DEAD)
+        .map(|g| (g, rows[g as usize].clone()))
+        .collect();
+    assert_eq!(ids, direct_answer(&survivors, &[], "SDI-Subset"));
+}
+
+/// A memory-only shard restarted on its port with other rows, at the
+/// very version the coordinator held its answer at: the restarted
+/// dataset is a new entry with a new tag, so the coordinator merges its
+/// full answer instead of what it held.
+#[test]
+fn restarted_shard_is_not_answered_from_held_answers() {
+    let (mut shards, coordinator) = start_cluster(2);
+    let coord = coordinator.local_addr();
+    let rows: Vec<Vec<f64>> = skyline_data::SyntheticSpec {
+        distribution: skyline_data::Distribution::AntiCorrelated,
+        cardinality: 120,
+        dims: 3,
+        seed: 0x4E57,
+    }
+    .generate()
+    .iter()
+    .map(|(_, row)| row.to_vec())
+    .collect();
+    create_dataset(coord, "re", &rows);
+    let path = "/skyline?dataset=re";
+    let (_, _, _, _, before) = read_held(coord, path);
+    let (_, cached, _, _, _) = read_held(coord, path);
+    assert!(cached, "the repeat is held");
+
+    // Shard 1 comes back with as many rows as it had, so the same
+    // handles and version, each now better than every row of shard 0.
+    const RESTARTED: usize = 1;
+    let addr = shards[RESTARTED].local_addr();
+    shards[RESTARTED].shutdown();
+    let owned: Vec<u64> = (0..rows.len() as u64)
+        .filter(|&g| shard_of(g, 2) == RESTARTED)
+        .collect();
+    let other: Vec<Vec<f64>> = owned
+        .iter()
+        .map(|&g| rows[g as usize].iter().map(|x| x - 10.0).collect())
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    shards[RESTARTED] = loop {
+        match skyline_serve::Server::start(skyline_serve::ServerConfig {
+            bind: addr.to_string(),
+            threads: 2,
+            ..Default::default()
+        }) {
+            Ok(server) => break server,
+            Err(e) => {
+                assert!(Instant::now() < deadline, "could not rebind {addr}: {e}");
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        }
+    };
+    let body = format!("{{\"name\":\"re\",\"rows\":{}}}", rows_json(&other));
+    let created = http_client::post(addr, "/datasets", &body).unwrap();
+    assert_eq!(created.status, 201, "{}", created.body_str());
+
+    let (_, cached, partial, _, ids) = read_held(coord, path);
+    assert!(!cached && !partial);
+    let live: BTreeMap<u64, Vec<f64>> = (0..rows.len() as u64)
+        .map(|g| match owned.iter().position(|&o| o == g) {
+            Some(i) => (g, other[i].clone()),
+            None => (g, rows[g as usize].clone()),
+        })
+        .collect();
+    let want = direct_answer(&live, &[], "SDI-Subset");
+    assert_ne!(want, before);
+    assert_eq!(ids, want, "the restarted shard's rows, not the held ones");
 }

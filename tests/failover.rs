@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 
 use skyline_integration_tests::{http_client as client, rows_json};
 use skyline_obs::json::Value;
+use skyline_serve::replica::LAG_HEADER;
 use skyline_serve::{
     Server, ServerConfig, ServerHandle, EPOCH_HEADER, MIN_VERSION_HEADER, PRIMARY_HEADER,
 };
@@ -368,4 +369,106 @@ fn resync_drops_answers_cached_for_the_replaced_rows() {
             "{query}: Q's rows at the same version"
         );
     }
+}
+
+/// P serves `[[1,5],[5,1]]` and Q `[[1,1],[2,2]]`, both primaries at
+/// epoch 0 and version 2. P is read, then demoted toward Q under epoch 1,
+/// above Q's own, and resyncs onto Q's rows at the same version 2.
+/// Returns P, Q and the `ETag` of P's read before the demotion.
+fn demote_p_toward_q() -> (ServerHandle, ServerHandle, Option<String>) {
+    let p = memory_server();
+    let q = memory_server();
+    let (paddr, qaddr) = (p.local_addr(), q.local_addr());
+    for (addr, rows) in [(paddr, "[[1,5],[5,1]]"), (qaddr, "[[1,1],[2,2]]")] {
+        let body = format!("{{\"name\":\"d\",\"rows\":{rows}}}");
+        let created = client::post(addr, "/datasets", &body).unwrap();
+        assert_eq!(created.status, 201, "{}", created.body_str());
+    }
+    let before = client::get(paddr, "/skyline?dataset=d").unwrap();
+    assert_eq!(before.status, 200, "{}", before.body_str());
+    let etag = before.header("etag").map(str::to_string);
+    let (status, v) = demote(paddr, 1, qaddr);
+    assert_eq!(status, 200, "{v:?}");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while snapshot_body(paddr, "d") != snapshot_body(qaddr, "d") {
+        assert!(Instant::now() < deadline, "P never resynced from Q");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    (p, q, etag)
+}
+
+fn ids_of(v: &Value) -> Vec<u64> {
+    let arr = v.get("ids").and_then(Value::as_arr).expect("ids");
+    arr.iter().map(|x| x.as_u64().unwrap()).collect()
+}
+
+/// A resync installs a new entry, so an `ETag` the replaced entry gave
+/// never validates, even at the same version number.
+#[test]
+fn resync_retires_the_etags_of_the_replaced_rows() {
+    let (p, _q, etag) = demote_p_toward_q();
+    let etag = etag.expect("a 200 names its ETag");
+    let headers = vec![("If-None-Match".to_string(), etag.clone())];
+    let (resp, _) =
+        client::request_timed(p.local_addr(), "GET", "/skyline?dataset=d", &[], &headers).unwrap();
+    assert_eq!(resp.status, 200, "the old tag {etag} must not validate");
+    let v = Value::parse(&resp.body_str()).unwrap();
+    assert_eq!((u64_field(&v, "version"), ids_of(&v)), (2, vec![0]));
+    assert_ne!(resp.header("etag"), Some(etag.as_str()));
+}
+
+/// A follower demoted under an epoch above its new primary's stamps its
+/// feed polls with that epoch and the primary's address; the primary
+/// adopts the epoch instead of refusing every poll, so the follower
+/// keeps applying its writes.
+#[test]
+fn follower_demoted_above_its_primarys_epoch_keeps_applying() {
+    let (p, q, _) = demote_p_toward_q();
+    let (paddr, qaddr) = (p.local_addr(), q.local_addr());
+    let inserted = client::post(qaddr, "/datasets/d/points", "{\"rows\":[[0,0]]}").unwrap();
+    assert_eq!(inserted.status, 200, "{}", inserted.body_str());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (status, v) = get_json(paddr, "/skyline?dataset=d");
+        assert_eq!(status, 200, "{v:?}");
+        if (u64_field(&v, "version"), ids_of(&v)) == (3, vec![2]) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "P never applied Q's insert: {v:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let (_, h) = get_json(qaddr, "/healthz");
+    assert_eq!(str_field(&h, "role"), "primary");
+    assert_eq!(u64_field(&h, "epoch"), 1, "Q adopted the epoch: {h:?}");
+}
+
+/// A follower's 304 carries its replica lag like its 200, so the
+/// coordinator can hold a replica's answer under the staleness bound.
+#[test]
+fn follower_304_carries_the_replica_lag() {
+    let primary = memory_server();
+    let paddr = primary.local_addr();
+    let created = client::post(
+        paddr,
+        "/datasets",
+        "{\"name\":\"l\",\"rows\":[[1,2],[2,1]]}",
+    )
+    .unwrap();
+    assert_eq!(created.status, 201, "{}", created.body_str());
+    let follower = follower_of(paddr);
+    let faddr = follower.local_addr();
+    wait_for_applied(faddr, 2);
+    let full = client::get(faddr, "/skyline?dataset=l").unwrap();
+    assert_eq!(full.status, 200, "{}", full.body_str());
+    assert!(full.header(LAG_HEADER).is_some());
+    let etag = full.header("etag").expect("a 200 names its ETag");
+    let headers = vec![("If-None-Match".to_string(), etag.to_string())];
+    let (unchanged, _) =
+        client::request_timed(faddr, "GET", "/skyline?dataset=l", &[], &headers).unwrap();
+    assert_eq!(unchanged.status, 304, "{}", unchanged.body_str());
+    assert!(unchanged.body.is_empty());
+    assert_eq!(unchanged.header(LAG_HEADER), Some("0"));
 }

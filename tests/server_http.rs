@@ -813,3 +813,96 @@ fn k_skyband_reads_cover_every_live_row() {
     }
     assert!(beaten_in_band > 0, "the bands hold rows beaten everywhere");
 }
+
+/// `/skyline` is a conditional GET. A 200 names its validator in `ETag`;
+/// the same request with that tag in `If-None-Match` answers 304 with no
+/// body and its stage times, computing nothing, until a write moves the
+/// version. Any other validator (`*`, a list, a weak tag, junk) gets the
+/// full answer.
+#[test]
+fn skyline_reads_are_conditional_on_their_etag() {
+    let rows = workload_rows();
+    let server = start_server();
+    let addr = server.local_addr();
+    let created = client::post(
+        addr,
+        "/datasets",
+        &format!("{{\"name\": \"etag\", \"rows\": {}}}", rows_json(&rows)),
+    )
+    .unwrap();
+    assert_eq!(created.status, 201, "{}", created.body_str());
+    let get = |path: &str, tag: &str| {
+        let headers = vec![("If-None-Match".to_string(), tag.to_string())];
+        client::request_timed(addr, "GET", path, &[], &headers)
+            .unwrap()
+            .0
+    };
+    let etag_of = |resp: &client::ClientResponse| {
+        resp.header("etag")
+            .unwrap_or_else(|| panic!("a 200 names its ETag: {:?}", resp.headers))
+            .to_string()
+    };
+
+    for path in [
+        "/skyline?dataset=etag",
+        "/skyline?dataset=etag&dims=0,2&include_masks=1&include_rows=1",
+    ] {
+        let first = client::get(addr, path).unwrap();
+        assert_eq!(first.status, 200, "{}", first.body_str());
+        let tag = etag_of(&first);
+        assert!(tag.starts_with('"') && tag.ends_with(&format!("-{}\"", rows.len())));
+
+        let before = server.cache_stats();
+        let unchanged = get(path, &tag);
+        assert_eq!(unchanged.status, 304, "{path}: {}", unchanged.body_str());
+        assert!(unchanged.body.is_empty(), "a 304 has no body");
+        assert_eq!(unchanged.header("etag"), Some(tag.as_str()));
+        let stages = unchanged
+            .header(skyline_obs::trace::STAGE_TIMES_HEADER)
+            .expect("a 304 carries its stage times");
+        let names: Vec<String> = skyline_obs::trace::decode_stage_times(stages)
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        assert_eq!(names, ["parse", "respond"], "{path}");
+        let after = server.cache_stats();
+        assert_eq!(
+            (after.hits, after.misses),
+            (before.hits, before.misses),
+            "{path}: a 304 probes no cache"
+        );
+
+        for other in [
+            "*".to_string(),
+            format!("{tag}, \"other\""),
+            format!("\"other\", {tag}"),
+            format!("W/{tag}"),
+            "x".repeat(4096),
+        ] {
+            let full = get(path, &other);
+            assert_eq!(full.status, 200, "{path} with {:.40}", other);
+            assert_eq!(etag_of(&full), tag);
+            let (version, _, ids) = parse_skyline_response(&full.body_str());
+            let (_, _, want) = parse_skyline_response(&first.body_str());
+            assert_eq!((version, ids), (rows.len() as u64, want));
+        }
+    }
+
+    // A write moves the version: the old tag gets the full answer under
+    // a new tag, which then validates.
+    let path = "/skyline?dataset=etag";
+    let tag = etag_of(&client::get(addr, path).unwrap());
+    let body = format!("{{\"rows\": {}}}", rows_json(&[vec![-1.0; 5]]));
+    let inserted = client::post(addr, "/datasets/etag/points", &body).unwrap();
+    assert_eq!(inserted.status, 200, "{}", inserted.body_str());
+    let moved = get(path, &tag);
+    assert_eq!(moved.status, 200, "{}", moved.body_str());
+    let (version, _, ids) = parse_skyline_response(&moved.body_str());
+    assert_eq!(
+        (version, ids),
+        (rows.len() as u64 + 1, vec![rows.len() as u32])
+    );
+    let new_tag = etag_of(&moved);
+    assert_ne!(new_tag, tag);
+    assert_eq!(get(path, &new_tag).status, 304);
+}
